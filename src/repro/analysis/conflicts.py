@@ -451,9 +451,10 @@ class AnalysisError(RuntimeError):
 def run_spec_machine(spec, simulator: Optional[Simulator] = None):
     """Build and run one macro :class:`ExperimentSpec` point.
 
-    Returns ``(machine, workload_result)``.  Mirrors the api runner's
-    ``_run_macro`` path, but accepts an injected simulator so the
-    instrumented/shuffled kernels can drive the identical workload.
+    Returns ``(machine, workload_result)``.  Mirrors the ``macro`` kind's
+    measure path (:mod:`repro.api.kinds`), but accepts an injected
+    simulator so the instrumented/shuffled kernels can drive the identical
+    workload.
     """
     from repro.apps import create_workload
     from repro.node.machine import Machine

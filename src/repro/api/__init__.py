@@ -4,10 +4,11 @@ This package is the single front door to the simulator.  A point in the
 evaluation space is an :class:`ExperimentSpec`; a family of points is a
 :class:`SweepSpec` (full cartesian product or an explicit point list); a
 :class:`SweepRunner` executes points serially or with ``multiprocessing``
-workers, memoising every point in an on-disk JSON cache keyed by the spec
-hash; results come back as a :class:`ResultSet` of :class:`RunResult`
-records that can be filtered, pivoted into figure panels, and serialised
-with ``to_json``/``from_json``.
+workers, memoising every point in an on-disk result store
+(:class:`repro.service.store.ResultStore`, keyed by the spec hash and the
+model fingerprint); results come back as a :class:`ResultSet` of
+:class:`RunResult` records that can be filtered, pivoted into figure
+panels, and serialised with ``to_json``/``from_json``.
 
 Typical use::
 
@@ -22,9 +23,7 @@ Typical use::
     panel = results.pivot(series="device", x="message_bytes")
 """
 
-from repro.api.cache import ResultCache
 from repro.api.kinds import (
-    KINDS,
     KindSpec,
     available_kinds,
     kind_spec,
@@ -63,12 +62,10 @@ __all__ = [
     "SpecError",
     "RunResult",
     "ResultSet",
-    "ResultCache",
     "SweepFailure",
     "SweepRunner",
     "run_point",
     "run_point_guarded",
-    "KINDS",
     "KindSpec",
     "available_kinds",
     "kind_spec",

@@ -22,22 +22,16 @@ Each :class:`KindSpec` bundles the per-kind hooks:
     ``False`` for wall-clock measurements (``engine``): serving them from
     any memo would report stale throughput, so they always re-run and are
     never written to a result store.
-``folds_workload_schema`` / ``cache_token``
-    widen the result-store key with :data:`WORKLOAD_SCHEMA_VERSION
-    <repro.apps.registry.WORKLOAD_SCHEMA_VERSION>` (and an optional
-    per-spec token, e.g. a trace-file digest).  Only the new kinds opt in;
-    the four legacy kinds keep their exact pre-registry cache identity.
-
-``KINDS`` stays importable from here (and re-exported by ``spec.py``) as a
-*live* sequence view of the registered names, so historic
-``spec.kind in KINDS`` checks and error messages keep working.
+``cache_token``
+    an optional per-spec input digest folded into the result-store key
+    (trace replay folds the trace file's digest: a trace is input data,
+    which the model fingerprint does not cover).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import ExperimentSpec
@@ -47,11 +41,15 @@ SpecHook = Callable[["ExperimentSpec"], Any]
 
 
 def _spec_error(message: str):
-    # Lazy: spec.py imports KINDS from this module, so the exception class
-    # must be fetched at raise time, not import time.
+    # Lazy: spec.py imports this module, so the exception class must be
+    # fetched at raise time, not import time.
     from repro.api.spec import SpecError
 
     return SpecError(message)
+
+
+def _unknown_kind(name: str):
+    return _spec_error(f"unknown experiment kind {name!r}; choose from {tuple(_REGISTRY)}")
 
 
 @dataclass(frozen=True)
@@ -64,50 +62,12 @@ class KindSpec:
     describe: Optional[Callable[["ExperimentSpec"], str]] = None
     cost: Optional[Callable[["ExperimentSpec"], float]] = None
     cacheable: bool = True
-    folds_workload_schema: bool = False
     cache_token: Optional[Callable[["ExperimentSpec"], str]] = None
     doc: str = ""
 
 
 _REGISTRY: Dict[str, KindSpec] = {}  # repro: allow[MUTSTATE] import-time experiment-kind plugin registry
 _BUILTIN: Tuple[str, ...] = ()  # repro: allow[MUTSTATE] sealed once at the end of this module
-
-
-class _KindsView(Sequence):
-    """Live, ordered, read-only view of the registered kind names.
-
-    Prints like the historic tuple so error messages such as
-    ``unknown experiment kind 'x'; choose from ('latency', ...)`` keep
-    their shape.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        return tuple(_REGISTRY)[index]
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(tuple(_REGISTRY))
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __repr__(self) -> str:
-        return repr(tuple(_REGISTRY))
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(_REGISTRY) == other
-
-    def __hash__(self):
-        return hash(tuple(_REGISTRY))
-
-
-#: Measurement kinds understood by :func:`repro.api.runner.run_point`
-#: (live view; see module docstring).
-KINDS = _KindsView()
 
 
 def register_kind(
@@ -118,7 +78,6 @@ def register_kind(
     describe: Optional[Callable[["ExperimentSpec"], str]] = None,
     cost: Optional[Callable[["ExperimentSpec"], float]] = None,
     cacheable: bool = True,
-    folds_workload_schema: bool = False,
     cache_token: Optional[Callable[["ExperimentSpec"], str]] = None,
     doc: str = "",
     replace: bool = False,
@@ -156,7 +115,6 @@ def register_kind(
             describe=describe,
             cost=cost,
             cacheable=cacheable,
-            folds_workload_schema=folds_workload_schema,
             cache_token=cache_token,
             doc=doc or (measure_fn.__doc__ or "").strip().split("\n")[0],
         )
@@ -172,7 +130,7 @@ def unregister_kind(name: str) -> None:
     if name in _BUILTIN:
         raise _spec_error(f"cannot unregister built-in experiment kind {name!r}")
     if name not in _REGISTRY:
-        raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
+        raise _unknown_kind(name)
     del _REGISTRY[name]
 
 
@@ -180,7 +138,7 @@ def kind_spec(name: str) -> KindSpec:
     """The :class:`KindSpec` registered under ``name`` (SpecError if none)."""
     spec = _REGISTRY.get(name)
     if spec is None:
-        raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
+        raise _unknown_kind(name)
     return spec
 
 
@@ -192,7 +150,7 @@ def available_kinds() -> Dict[str, KindSpec]:
 def check_kind(name: str) -> None:
     """Membership check with the historic error message."""
     if name not in _REGISTRY:
-        raise _spec_error(f"unknown experiment kind {name!r}; choose from {KINDS}")
+        raise _unknown_kind(name)
 
 
 def kind_cacheable(name: str) -> bool:
@@ -201,34 +159,6 @@ def kind_cacheable(name: str) -> bool:
     them long before any cache is consulted)."""
     spec = _REGISTRY.get(name)
     return True if spec is None else spec.cacheable
-
-
-def folds_workload_schema(name: Optional[str]) -> bool:
-    """Whether this kind's cache identity includes the workload schema."""
-    spec = _REGISTRY.get(name) if isinstance(name, str) else None
-    return False if spec is None else spec.folds_workload_schema
-
-
-def workload_schema_version() -> int:
-    """The live workload schema stamp (looked up at call time so tests can
-    monkeypatch :mod:`repro.apps.registry` and watch keys change)."""
-    from repro.apps import registry as workload_registry
-
-    return workload_registry.WORKLOAD_SCHEMA_VERSION
-
-
-def cache_suffix(spec: "ExperimentSpec") -> str:
-    """Extra cache-key components for ``spec``'s kind (empty for the four
-    legacy kinds, whose keys must stay bit-identical to pre-registry)."""
-    kind = _REGISTRY.get(spec.kind)
-    if kind is None or not kind.folds_workload_schema:
-        return ""
-    suffix = f":workload-schema-{workload_schema_version()}"
-    if kind.cache_token is not None:
-        token = kind.cache_token(spec)
-        if token:
-            suffix += f":{token}"
-    return suffix
 
 
 def measure_point(spec: "ExperimentSpec") -> Dict[str, float]:
@@ -286,14 +216,15 @@ def _validate_bandwidth(spec: "ExperimentSpec") -> None:
 
 
 def _validate_macro(spec: "ExperimentSpec") -> None:
-    from repro.apps import DIAGNOSTIC_WORKLOADS, MACROBENCHMARKS
+    from repro.apps import workload_names
 
     if spec.workload is None:
         raise _spec_error("macro experiments need a workload name")
-    if spec.workload not in MACROBENCHMARKS and spec.workload not in DIAGNOSTIC_WORKLOADS:
+    macro, diagnostic = workload_names("macro"), workload_names("diagnostic")
+    if spec.workload not in macro and spec.workload not in diagnostic:
         raise _spec_error(
             f"unknown workload {spec.workload!r}; choose from "
-            f"{sorted(MACROBENCHMARKS) + sorted(DIAGNOSTIC_WORKLOADS)}"
+            f"{sorted(macro) + sorted(diagnostic)}"
         )
     if spec.scale <= 0:
         raise _spec_error("scale must be positive")
@@ -373,6 +304,31 @@ def _replay_cache_token(spec: "ExperimentSpec") -> str:
     return f"trace-{trace_digest(spec.workload_kwargs['trace'])}"
 
 
+def _machine_overrides(spec: "ExperimentSpec") -> Dict[str, Any]:
+    """Machine-shape kwargs shared by every engine entry point."""
+    out: Dict[str, Any] = {"ni_kwargs": dict(spec.ni_kwargs)}
+    if spec.params:
+        out["params"] = spec.machine_params()
+    if spec.max_cycles is not None:
+        out["max_cycles"] = spec.max_cycles
+    return out
+
+
+def _workload_run_kwargs(spec: "ExperimentSpec") -> Dict[str, Any]:
+    """Keyword arguments of a workload-driven run (macro and engine kinds)."""
+    workload_kwargs = dict(spec.workload_kwargs)
+    workload_kwargs.setdefault("seed", spec.resolved_seed())
+    overrides = _machine_overrides(spec)
+    overrides.setdefault("max_cycles", 2_000_000_000)
+    return dict(
+        num_nodes=spec.num_nodes,
+        scale=spec.scale,
+        snarfing=spec.snarfing,
+        workload_kwargs=workload_kwargs,
+        **overrides,
+    )
+
+
 @register_kind(
     "latency",
     validate=_validate_latency,
@@ -380,9 +336,24 @@ def _replay_cache_token(spec: "ExperimentSpec") -> str:
     doc="Figure 6 round-trip latency microbenchmark",
 )
 def _measure_latency(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_latency
+    from repro.experiments.microbench import round_trip_latency
 
-    return _run_latency(spec)
+    result = round_trip_latency(
+        spec.device,
+        spec.bus,
+        spec.message_bytes,
+        iterations=spec.iterations,
+        warmup=spec.resolved_warmup(),
+        snarfing=spec.snarfing,
+        num_nodes=spec.num_nodes,
+        **_machine_overrides(spec),
+    )
+    return {
+        "round_trip_cycles": result.round_trip_cycles,
+        "round_trip_us": result.round_trip_us,
+        "one_way_us": result.one_way_us,
+        "iterations": float(result.iterations),
+    }
 
 
 @register_kind(
@@ -392,9 +363,25 @@ def _measure_latency(spec: "ExperimentSpec") -> Dict[str, float]:
     doc="Figure 7 streaming bandwidth microbenchmark",
 )
 def _measure_bandwidth(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_bandwidth
+    from repro.experiments.microbench import bandwidth
 
-    return _run_bandwidth(spec)
+    result = bandwidth(
+        spec.device,
+        spec.bus,
+        spec.message_bytes,
+        messages=spec.messages,
+        warmup=spec.resolved_warmup(),
+        snarfing=spec.snarfing,
+        num_nodes=spec.num_nodes,
+        **_machine_overrides(spec),
+    )
+    return {
+        "total_cycles": float(result.total_cycles),
+        "bandwidth_mbps": result.bandwidth_mbps,
+        "relative_bandwidth": result.relative_bandwidth,
+        "max_bandwidth_mbps": result.max_bandwidth_mbps,
+        "messages": float(result.messages),
+    }
 
 
 @register_kind(
@@ -405,9 +392,28 @@ def _measure_bandwidth(spec: "ExperimentSpec") -> Dict[str, float]:
     doc="Figure 8 macrobenchmark run",
 )
 def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_macro
+    from repro.experiments.macro import run_macrobenchmark
 
-    return _run_macro(spec)
+    result = run_macrobenchmark(spec.workload, spec.device, spec.bus, **_workload_run_kwargs(spec))
+    metrics = {
+        "cycles": float(result.cycles),
+        "memory_bus_occupancy": float(result.memory_bus_occupancy),
+        "io_bus_occupancy": float(result.io_bus_occupancy),
+        "network_messages": float(result.network_messages),
+    }
+    if result.fault_stats:
+        # Only fault-plan runs grow these keys, so fault-free results (and
+        # their store entries / goldens) are byte-identical to before the
+        # fault layer existed.
+        for key, value in result.fault_stats.items():
+            if key in ("plan", "seed"):
+                continue  # spec inputs, not measurements
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                metrics[f"fault_{key}"] = float(value)
+        recovery = result.fault_stats.get("recovery_latency")
+        if isinstance(recovery, dict):
+            metrics["fault_recovery_p95"] = float(recovery.get("p95", 0.0))
+    return metrics
 
 
 @register_kind(
@@ -419,9 +425,21 @@ def _measure_macro(spec: "ExperimentSpec") -> Dict[str, float]:
     doc="macro run measured for kernel throughput (wall-clock)",
 )
 def _measure_engine(spec: "ExperimentSpec") -> Dict[str, float]:
-    from repro.api.runner import _run_engine
+    from repro.experiments.enginebench import kernel_throughput
 
-    return _run_engine(spec)
+    result = kernel_throughput(spec.workload, spec.device, spec.bus, **_workload_run_kwargs(spec))
+    return {
+        "cycles": float(result.cycles),
+        "events": float(result.events),
+        "wall_s": result.wall_s,
+        "events_per_sec": result.events_per_sec,
+        "lane_events": float(result.lane_events),
+        "heap_events": float(result.heap_events),
+        "pool_reuses": float(result.pool_reuses),
+        "elided_events": float(result.elided_events),
+        "elided_cycles": float(result.elided_cycles),
+        "elided_fraction": result.elided_fraction,
+    }
 
 
 @register_kind(
@@ -429,7 +447,6 @@ def _measure_engine(spec: "ExperimentSpec") -> Dict[str, float]:
     validate=_validate_traffic,
     describe=_describe_workload,
     cost=_cost_workload,
-    folds_workload_schema=True,
     doc="synthetic / fine-grain traffic pattern run",
 )
 def _measure_traffic(spec: "ExperimentSpec") -> Dict[str, float]:
@@ -443,7 +460,6 @@ def _measure_traffic(spec: "ExperimentSpec") -> Dict[str, float]:
     validate=_validate_replay,
     describe=_describe_replay,
     cost=_cost_replay,
-    folds_workload_schema=True,
     cache_token=_replay_cache_token,
     doc="message-level trace replay (sweep accelerator)",
 )

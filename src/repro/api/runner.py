@@ -5,8 +5,9 @@ simulator entry points (the Figure 6/7 microbenchmarks and the Figure 8
 macrobenchmark runner) and returns a :class:`RunResult`.
 
 :class:`SweepRunner` executes many points: it deduplicates repeated specs,
-consults the on-disk :class:`ResultCache`, fans the remaining points out to
-``multiprocessing`` workers when ``jobs > 1`` (each worker runs the same
+consults the on-disk :class:`~repro.service.store.ResultStore`, fans the
+remaining points out to ``multiprocessing`` workers when ``jobs > 1``
+(each worker runs the same
 pure function, so serial and parallel execution give identical results),
 and reports progress through an optional callback.  Every result the
 runner produces is also appended to ``runner.history`` so a driver can
@@ -16,13 +17,16 @@ serialise everything that was computed in a session.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.api.cache import ResultCache
 from repro.api.kinds import kind_cacheable, measure_point, point_cost
 from repro.api.results import ResultSet, RunResult
 from repro.api.spec import ExperimentSpec, SweepSpec, as_points
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.store import ResultStore
 
 #: Progress callback signature: ``(completed, total, result)``.
 ProgressFn = Callable[[int, int, RunResult], None]
@@ -43,143 +47,12 @@ def run_point(spec: ExperimentSpec) -> RunResult:
     return RunResult(spec=spec, metrics=metrics, elapsed_s=time.perf_counter() - started)
 
 
-def _machine_overrides(spec: ExperimentSpec) -> Dict[str, Any]:
-    """Machine-shape kwargs shared by every engine entry point."""
-    out: Dict[str, Any] = {"ni_kwargs": dict(spec.ni_kwargs)}
-    if spec.params:
-        out["params"] = spec.machine_params()
-    if spec.max_cycles is not None:
-        out["max_cycles"] = spec.max_cycles
-    return out
+def _open_store(directory: str) -> "ResultStore":
+    """A :class:`~repro.service.store.ResultStore` on ``directory`` (lazy
+    import: the service package imports this module)."""
+    from repro.service.store import ResultStore
 
-
-def _run_latency(spec: ExperimentSpec) -> Dict[str, float]:
-    from repro.experiments.microbench import round_trip_latency
-
-    result = round_trip_latency(
-        spec.device,
-        spec.bus,
-        spec.message_bytes,
-        iterations=spec.iterations,
-        warmup=spec.resolved_warmup(),
-        snarfing=spec.snarfing,
-        num_nodes=spec.num_nodes,
-        **_machine_overrides(spec),
-    )
-    return {
-        "round_trip_cycles": result.round_trip_cycles,
-        "round_trip_us": result.round_trip_us,
-        "one_way_us": result.one_way_us,
-        "iterations": float(result.iterations),
-    }
-
-
-def _run_bandwidth(spec: ExperimentSpec) -> Dict[str, float]:
-    from repro.experiments.microbench import bandwidth
-
-    result = bandwidth(
-        spec.device,
-        spec.bus,
-        spec.message_bytes,
-        messages=spec.messages,
-        warmup=spec.resolved_warmup(),
-        snarfing=spec.snarfing,
-        num_nodes=spec.num_nodes,
-        **_machine_overrides(spec),
-    )
-    return {
-        "total_cycles": float(result.total_cycles),
-        "bandwidth_mbps": result.bandwidth_mbps,
-        "relative_bandwidth": result.relative_bandwidth,
-        "max_bandwidth_mbps": result.max_bandwidth_mbps,
-        "messages": float(result.messages),
-    }
-
-
-def _run_macro(spec: ExperimentSpec) -> Dict[str, float]:
-    from repro.experiments.macro import run_macrobenchmark
-
-    workload_kwargs = dict(spec.workload_kwargs)
-    workload_kwargs.setdefault("seed", spec.resolved_seed())
-    overrides = _machine_overrides(spec)
-    overrides.setdefault("max_cycles", 2_000_000_000)
-    result = run_macrobenchmark(
-        spec.workload,
-        spec.device,
-        spec.bus,
-        num_nodes=spec.num_nodes,
-        scale=spec.scale,
-        snarfing=spec.snarfing,
-        workload_kwargs=workload_kwargs,
-        **overrides,
-    )
-    metrics = {
-        "cycles": float(result.cycles),
-        "memory_bus_occupancy": float(result.memory_bus_occupancy),
-        "io_bus_occupancy": float(result.io_bus_occupancy),
-        "network_messages": float(result.network_messages),
-    }
-    if result.fault_stats:
-        # Only fault-plan runs grow these keys, so fault-free results (and
-        # their cache entries / goldens) are byte-identical to before the
-        # fault layer existed.
-        for key, value in result.fault_stats.items():
-            if key in ("plan", "seed"):
-                continue  # spec inputs, not measurements
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                metrics[f"fault_{key}"] = float(value)
-        recovery = result.fault_stats.get("recovery_latency")
-        if isinstance(recovery, dict):
-            metrics["fault_recovery_p95"] = float(recovery.get("p95", 0.0))
-    return metrics
-
-
-def _run_engine(spec: ExperimentSpec) -> Dict[str, float]:
-    """Kernel-throughput metrics (wall-clock; do not cache these points)."""
-    from repro.experiments.enginebench import kernel_throughput
-
-    workload_kwargs = dict(spec.workload_kwargs)
-    workload_kwargs.setdefault("seed", spec.resolved_seed())
-    overrides = _machine_overrides(spec)
-    overrides.setdefault("max_cycles", 2_000_000_000)
-    result = kernel_throughput(
-        spec.workload,
-        spec.device,
-        spec.bus,
-        num_nodes=spec.num_nodes,
-        scale=spec.scale,
-        snarfing=spec.snarfing,
-        workload_kwargs=workload_kwargs,
-        **overrides,
-    )
-    return {
-        "cycles": float(result.cycles),
-        "events": float(result.events),
-        "wall_s": result.wall_s,
-        "events_per_sec": result.events_per_sec,
-        "lane_events": float(result.lane_events),
-        "heap_events": float(result.heap_events),
-        "pool_reuses": float(result.pool_reuses),
-        "elided_events": float(result.elided_events),
-        "elided_cycles": float(result.elided_cycles),
-        "elided_fraction": result.elided_fraction,
-    }
-
-
-def _worker_cache(desc: Optional[Dict[str, Any]]) -> Optional[ResultCache]:
-    """Rebuild the runner's cache/store inside a worker process.
-
-    Workers never evict (``budget_bytes=None``): the owning process enforces
-    the byte budget once per sweep, so parallel writers cannot thrash each
-    other's fresh entries.
-    """
-    if desc is None:
-        return None
-    if desc.get("sharded"):
-        from repro.service.store import ResultStore
-
-        return ResultStore(desc["directory"], budget_bytes=None)
-    return ResultCache(desc["directory"])
+    return ResultStore(directory)
 
 
 def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -194,7 +67,11 @@ def _run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     spec = ExperimentSpec.from_dict(payload["spec"])
     counters = {"hits": 0, "stores": 0}
-    cache = _worker_cache(payload.get("cache")) if kind_cacheable(spec.kind) else None
+    # Workers never evict (no budget): the owning process enforces the byte
+    # budget once per sweep, so parallel writers cannot thrash each other's
+    # fresh entries.
+    directory = payload.get("cache")
+    cache = _open_store(directory) if directory is not None and kind_cacheable(spec.kind) else None
     if cache is not None:
         hit = cache.get(spec)
         if hit is not None:
@@ -257,14 +134,14 @@ class _GuardedPoint:
 def _spawn_guarded(
     index: int,
     spec: ExperimentSpec,
-    cache_desc: Optional[Dict[str, Any]],
+    cache_dir: Optional[str],
     timeout_s: Optional[float],
 ) -> _GuardedPoint:
     ctx = multiprocessing.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_guarded_child,
-        args=(child_conn, {"spec": spec.to_dict(), "cache": cache_desc}),
+        args=(child_conn, {"spec": spec.to_dict(), "cache": cache_dir}),
         daemon=True,
     )
     proc.start()
@@ -295,7 +172,7 @@ def run_point_guarded(
     timeout_s: Optional[float] = None,
     max_retries: int = 0,
     retry_backoff_s: float = 0.25,
-    cache_desc: Optional[Dict[str, Any]] = None,
+    cache_dir: Optional[str] = None,
 ) -> Tuple[RunResult, Optional[Dict[str, int]]]:
     """Run one point in a disposable child process, with timeout and retry.
 
@@ -317,7 +194,7 @@ def run_point_guarded(
         if attempts:
             time.sleep(retry_backoff_s * (2 ** (attempts - 1)))
         attempts += 1
-        point = _spawn_guarded(0, spec, cache_desc, timeout_s)
+        point = _spawn_guarded(0, spec, cache_dir, timeout_s)
         try:
             budget = None if point.deadline is None else max(0.0, point.deadline - time.monotonic())
             if point.conn.poll(budget):
@@ -348,8 +225,9 @@ class SweepRunner:
     jobs:
         Number of worker processes; ``1`` (the default) runs in-process.
     cache_dir:
-        Directory for the on-disk result cache, or ``None`` to disable
-        caching.  A string is turned into a :class:`ResultCache`.
+        Directory of the on-disk result store (a path, or an open
+        :class:`~repro.service.store.ResultStore`), or ``None`` to disable
+        caching.
     progress:
         Optional ``(completed, total, result)`` callback, invoked once per
         unique point as its result becomes available.
@@ -369,7 +247,7 @@ class SweepRunner:
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: Optional[Union[str, ResultCache]] = None,
+        cache_dir: Union[None, str, "os.PathLike[str]", "ResultStore"] = None,
         progress: Optional[ProgressFn] = None,
         point_timeout_s: Optional[float] = None,
         max_retries: int = 0,
@@ -383,12 +261,9 @@ class SweepRunner:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.jobs = jobs
-        if isinstance(cache_dir, ResultCache):
-            self.cache: Optional[ResultCache] = cache_dir
-        elif cache_dir is not None:
-            self.cache = ResultCache(cache_dir)
-        else:
-            self.cache = None
+        if isinstance(cache_dir, (str, os.PathLike)):
+            cache_dir = _open_store(os.fspath(cache_dir))
+        self.cache = cache_dir
         self.progress = progress
         self.point_timeout_s = point_timeout_s
         self.max_retries = max_retries
@@ -481,7 +356,7 @@ class SweepRunner:
             if result.error is not None and self.fail_fast:
                 raise SweepFailure(result)
 
-        if self.cache is not None and hasattr(self.cache, "enforce_budget"):
+        if self.cache is not None:
             # Parallel workers never evict; settle the store's byte budget
             # once, here, with every fresh entry already landed.
             self.cache.enforce_budget()
@@ -509,14 +384,9 @@ class SweepRunner:
         """
         return point_cost(spec)
 
-    def _cache_descriptor(self) -> Optional[Dict[str, Any]]:
-        """How a worker process should rebuild this runner's cache."""
-        if self.cache is None:
-            return None
-        return {
-            "directory": self.cache.directory,
-            "sharded": hasattr(self.cache, "path_for_key"),
-        }
+    def _cache_dir(self) -> Optional[str]:
+        """The store directory a worker process reopens, if caching."""
+        return None if self.cache is None else self.cache.directory
 
     def _run_parallel(
         self, pending: Sequence[ExperimentSpec]
@@ -530,9 +400,9 @@ class SweepRunner:
         macro points last, and a straggler macro point picked up when the
         rest of the pool is already draining serializes the whole tail.
         """
-        cache_desc = self._cache_descriptor()
+        cache_dir = self._cache_dir()
         payloads = [
-            (index, {"spec": spec.to_dict(), "cache": cache_desc})
+            (index, {"spec": spec.to_dict(), "cache": cache_dir})
             for index, spec in enumerate(pending)
         ]
         payloads.sort(key=lambda item: self._point_cost(pending[item[0]]), reverse=True)
@@ -557,7 +427,7 @@ class SweepRunner:
         failed :class:`RunResult` is yielded.  Up to ``jobs`` children run
         concurrently (``jobs=1`` degrades to guarded serial execution).
         """
-        cache_desc = self._cache_descriptor()
+        cache_dir = self._cache_dir()
         queue: List[int] = sorted(
             range(len(pending)),
             key=lambda index: self._point_cost(pending[index]),
@@ -574,7 +444,7 @@ class SweepRunner:
                     index = eligible.pop(0)
                     queue.remove(index)
                     active[index] = _spawn_guarded(
-                        index, pending[index], cache_desc, self.point_timeout_s
+                        index, pending[index], cache_dir, self.point_timeout_s
                     )
                 progressed = False
                 for index in list(active):
@@ -635,7 +505,11 @@ class SweepRunner:
         self.history.append(result)
 
     def cache_stats(self) -> Dict[str, int]:
-        return self.cache.stats() if self.cache is not None else {"hits": 0, "misses": 0}
+        """This runner's store counters (hits/misses/stores); the store's
+        usage walk stays in ``ResultStore.stats()``."""
+        if self.cache is None:
+            return {"hits": 0, "misses": 0, "stores": 0}
+        return self.cache.counters()
 
     def __repr__(self) -> str:
         cache = self.cache.directory if self.cache is not None else None

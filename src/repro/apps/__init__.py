@@ -1,10 +1,9 @@
 """Macrobenchmark communication skeletons (Table 3 of the paper).
 
 Workloads are looked up through the generative registry in
-:mod:`repro.apps.registry`; ``MACROBENCHMARKS`` and
-``DIAGNOSTIC_WORKLOADS`` remain importable as live, read-only views of
-the ``macro`` / ``diagnostic`` tags.  Synthetic traffic generators and
-trace replay register under their own tags from :mod:`repro.traffic` and
+:mod:`repro.apps.registry` (``workload_names("macro")`` lists the paper's
+five in Table 3 order).  Synthetic traffic generators and trace replay
+register under their own tags from :mod:`repro.traffic` and
 :mod:`repro.trace`.
 """
 
@@ -14,9 +13,7 @@ from repro.apps.gauss import GaussWorkload
 from repro.apps.hang import HangWorkload
 from repro.apps.moldyn import MoldynWorkload
 from repro.apps.registry import (
-    WORKLOAD_SCHEMA_VERSION,
     WORKLOAD_TAGS,
-    TagView,
     WorkloadError,
     WorkloadInfo,
     available_workloads,
@@ -44,13 +41,6 @@ for _cls, _tags in (
 ):
     register_workload(tags=_tags, replace=True)(_cls)
 
-#: The five macrobenchmarks evaluated in the paper, in its order
-#: (live view of the ``macro`` tag).
-MACROBENCHMARKS = TagView("macro")
-
-#: Diagnostic (non-paper) workloads (live view of the ``diagnostic`` tag).
-DIAGNOSTIC_WORKLOADS = TagView("diagnostic")
-
 
 __all__ = [
     "Workload",
@@ -62,11 +52,7 @@ __all__ = [
     "HangWorkload",
     "MoldynWorkload",
     "AppbtWorkload",
-    "MACROBENCHMARKS",
-    "DIAGNOSTIC_WORKLOADS",
-    "WORKLOAD_SCHEMA_VERSION",
     "WORKLOAD_TAGS",
-    "TagView",
     "WorkloadError",
     "WorkloadInfo",
     "available_workloads",

@@ -1,40 +1,21 @@
 """Generative workload registry: tagged, pluggable workload classes.
 
-Workloads used to live in two static dicts (``MACROBENCHMARKS`` and
-``DIAGNOSTIC_WORKLOADS``), so a new scenario class meant editing
-``repro.apps`` itself.  This module makes workloads generative the same
-way devices (PR 3), fabrics (PR 5) and coherence protocols (PR 6) are:
-a :func:`register_workload` decorator installs a
+Workloads are generative the same way devices, fabrics and coherence
+protocols are: a :func:`register_workload` decorator installs a
 :class:`~repro.apps.workload.Workload` subclass under a name with one or
 more *tags* (``macro``, ``diagnostic``, ``traffic``, ``fine-grain``, …),
-:func:`available_workloads` enumerates the registry (optionally filtered
-by tag), and :class:`TagView` gives the old dict names live, read-only
-``name -> class`` semantics over the registry so existing callers keep
-working unchanged.
-
-:data:`WORKLOAD_SCHEMA_VERSION` is this registry's schema stamp.  It joins
-the device/fabric/protocol schema versions in the result-store key — but
-only for experiment kinds that declare they depend on it (traffic and
-trace replay); the four legacy kinds keep their exact pre-registry cache
-identity.
+and :func:`available_workloads` / :func:`workload_names` enumerate the
+registry, optionally filtered by tag.
 """
 
 from __future__ import annotations
 
 import difflib
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apps.workload import Workload
-
-#: Version of the workload-generation rules.  Bump when a registered
-#: workload's traffic pattern changes meaning (message sizes, schedules,
-#: pacing): cached traffic/trace results computed under the old rules must
-#: stop matching.  Legacy macro results are unaffected — their cache keys
-#: never included this stamp and must stay bit-identical.
-WORKLOAD_SCHEMA_VERSION = 1
 
 #: Tags used by the shipped workloads.  Plugins may invent new tags; these
 #: are the ones presets, the CLI and the docs know about.
@@ -148,38 +129,3 @@ def workload_class(name: str) -> Type["Workload"]:
 def create_workload(name: str, **kwargs) -> "Workload":
     """Instantiate a registered workload by name."""
     return workload_class(name)(**kwargs)
-
-
-class TagView(Mapping):
-    """Live, read-only ``name -> Workload class`` view of one tag.
-
-    The historic ``MACROBENCHMARKS`` / ``DIAGNOSTIC_WORKLOADS`` dicts are
-    instances of this class: membership tests, iteration order and
-    ``.items()`` behave exactly as the dicts did, but the contents track
-    the registry — a plugin registered with the right tag appears in the
-    view immediately, and mutation is impossible.
-    """
-
-    __slots__ = ("_tag",)
-
-    def __init__(self, tag: str):
-        self._tag = tag
-
-    @property
-    def tag(self) -> str:
-        return self._tag
-
-    def __getitem__(self, name: str) -> Type["Workload"]:
-        info = _REGISTRY.get(name)
-        if info is None or self._tag not in info.tags:
-            raise KeyError(name)
-        return info.cls
-
-    def __iter__(self) -> Iterator[str]:
-        return iter([n for n, i in _REGISTRY.items() if self._tag in i.tags])
-
-    def __len__(self) -> int:
-        return sum(1 for i in _REGISTRY.values() if self._tag in i.tags)
-
-    def __repr__(self) -> str:
-        return f"TagView({self._tag!r}: {list(self)})"

@@ -2,10 +2,9 @@
 
 Mirrors the device registry (:mod:`repro.ni.registry`) and the fabric
 registry (:mod:`repro.network.registry`): built-in tables register at
-import, plugins register at runtime under their spec's name, and
-:data:`PROTOCOL_SCHEMA_VERSION` is folded into the result-cache key so
-cached sweep results computed under older transition rules stop matching
-when the rules change.
+import, plugins register at runtime under their spec's name.  A plugin's
+registering module is remembered (:func:`plugin_source`) so the result
+store can fold that file's digest into the keys of specs naming it.
 
 Plugins use the plain call or the decorator form::
 
@@ -22,16 +21,15 @@ it, so ``dragon`` is the :class:`ProtocolSpec` afterwards.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Tuple, Union
+import sys
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.coherence.protocols.spec import ProtocolError, ProtocolSpec
 
-#: Bump when ProtocolSpec semantics or any built-in table changes in a way
-#: that alters simulated behaviour; stale cached results stop matching.
-PROTOCOL_SCHEMA_VERSION = 1
-
 _BUILTIN: Dict[str, ProtocolSpec] = {}  # repro: allow[MUTSTATE] import-time protocol plugin registry
 _REGISTRY: Dict[str, ProtocolSpec] = {}  # repro: allow[MUTSTATE] import-time protocol plugin registry
+#: Plugin name -> source file of the module that registered it.
+_SOURCES: Dict[str, str] = {}  # repro: allow[MUTSTATE] import-time protocol plugin registry
 
 
 def register_protocol(
@@ -65,6 +63,10 @@ def register_protocol(
             f"(pass replace=True to shadow it)"
         )
     _REGISTRY[spec.name] = spec
+    frame = sys._getframe(1)
+    while frame.f_back is not None and frame.f_code.co_filename == __file__:
+        frame = frame.f_back  # step out of the decorator forms' recursion
+    _SOURCES[spec.name] = frame.f_code.co_filename
     return spec
 
 
@@ -79,6 +81,7 @@ def unregister_protocol(name: str) -> None:
     """Remove a registered protocol; shadowed built-ins are restored."""
     if name not in _REGISTRY:
         raise ProtocolError(f"protocol {name!r} is not registered")
+    _SOURCES.pop(name, None)
     if name in _BUILTIN:
         _REGISTRY[name] = _BUILTIN[name]
     else:
@@ -99,6 +102,12 @@ def protocol_spec(name: str) -> ProtocolSpec:
 def available_protocols() -> Tuple[ProtocolSpec, ...]:
     """Every registered table, sorted by name."""
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
+
+
+def plugin_source(name: Optional[str]) -> Optional[str]:
+    """Source file of the module that registered plugin ``name`` (``None``
+    for built-in tables and unknown names)."""
+    return _SOURCES.get(name)
 
 
 def is_builtin(name: str) -> bool:

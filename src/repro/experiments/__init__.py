@@ -13,9 +13,7 @@ from repro.experiments.macro import (
     IO_BUS_DEVICES,
     MEMORY_BUS_DEVICES,
     MacroRunResult,
-    bus_occupancy_reduction,
     run_macrobenchmark,
-    speedup_sweep,
 )
 from repro.experiments.microbench import (
     FIG6_MESSAGE_SIZES,
@@ -41,8 +39,6 @@ __all__ = [
     "FIG6_MESSAGE_SIZES",
     "FIG7_MESSAGE_SIZES",
     "run_macrobenchmark",
-    "speedup_sweep",
-    "bus_occupancy_reduction",
     "MacroRunResult",
     "MEMORY_BUS_DEVICES",
     "IO_BUS_DEVICES",

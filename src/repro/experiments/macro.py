@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.apps import create_workload
 from repro.apps.workload import WorkloadResult
@@ -42,11 +42,6 @@ class MacroRunResult:
     #: so fault-free results are byte-identical to pre-fault-layer ones.
     fault_stats: Optional[Dict] = None
 
-    def speedup_over(self, baseline: "MacroRunResult") -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return baseline.cycles / self.cycles
-
 
 def run_macrobenchmark(
     workload_name: str,
@@ -78,73 +73,3 @@ def run_macrobenchmark(
         network_messages=result.network_messages,
         fault_stats=fault_stats,
     )
-
-
-def speedup_sweep(
-    workload_name: str,
-    configurations: Sequence,
-    num_nodes: int = 16,
-    scale: float = 1.0,
-    max_cycles: Optional[int] = 2_000_000_000,
-    workload_kwargs: Optional[Dict] = None,
-) -> Dict[str, Dict]:
-    """Run a workload on the baseline plus each configuration.
-
-    ``configurations`` is a sequence of ``(ni_name, bus)`` pairs.  Returns a
-    mapping ``"<ni>@<bus>" -> {"speedup": ..., "result": MacroRunResult}``,
-    always including the NI2w/memory baseline with speedup 1.0.
-    """
-    baseline = run_macrobenchmark(
-        workload_name,
-        *BASELINE,
-        num_nodes=num_nodes,
-        scale=scale,
-        max_cycles=max_cycles,
-        workload_kwargs=workload_kwargs,
-    )
-    out: Dict[str, Dict] = {
-        f"{BASELINE[0]}@{BASELINE[1]}": {"speedup": 1.0, "result": baseline}
-    }
-    for ni_name, bus in configurations:
-        if (ni_name, bus) == BASELINE:
-            continue
-        run = run_macrobenchmark(
-            workload_name,
-            ni_name,
-            bus,
-            num_nodes=num_nodes,
-            scale=scale,
-            max_cycles=max_cycles,
-            workload_kwargs=workload_kwargs,
-        )
-        out[f"{ni_name}@{bus}"] = {"speedup": run.speedup_over(baseline), "result": run}
-    return out
-
-
-def bus_occupancy_reduction(
-    workload_name: str,
-    devices: Sequence[str] = MEMORY_BUS_DEVICES,
-    num_nodes: int = 16,
-    scale: float = 1.0,
-    max_cycles: Optional[int] = 2_000_000_000,
-) -> Dict[str, float]:
-    """Memory-bus occupancy of each device relative to NI2w (Section 5.2).
-
-    Returns ``{device: fractional reduction}`` (e.g. 0.66 means the device
-    needs 66 % less memory-bus occupancy than NI2w for the same workload).
-    """
-    baseline = run_macrobenchmark(
-        workload_name, "NI2w", "memory", num_nodes=num_nodes, scale=scale, max_cycles=max_cycles
-    )
-    reductions: Dict[str, float] = {"NI2w": 0.0}
-    for device in devices:
-        if device == "NI2w":
-            continue
-        run = run_macrobenchmark(
-            workload_name, device, "memory", num_nodes=num_nodes, scale=scale, max_cycles=max_cycles
-        )
-        if baseline.memory_bus_occupancy <= 0:
-            reductions[device] = 0.0
-        else:
-            reductions[device] = 1.0 - run.memory_bus_occupancy / baseline.memory_bus_occupancy
-    return reductions

@@ -21,14 +21,6 @@ from repro.network.fabricspec import FabricError, FabricSpec, parse_fabric_name
 from repro.network.topology import CrossbarFabric, MeshFabric, TorusFabric
 from repro.sim import Simulator
 
-#: Version of the fabric timing semantics.  Bump whenever the way a
-#: fabric name maps to delivery timing changes (serialization formula,
-#: hop model, routing, contention rules): cached experiment results keyed
-#: under an older version are then invalidated by :mod:`repro.api.cache`,
-#: exactly as :data:`repro.ni.registry.DEVICE_SCHEMA_VERSION` does for
-#: device-construction semantics.
-FABRIC_SCHEMA_VERSION = 1
-
 #: The pinned built-in fabrics; ``unregister_fabric`` restores these if a
 #: plugin shadowed one of the kinds.
 _BUILTIN_CLASSES: Dict[str, Type[AbstractFabric]] = {  # repro: allow[MUTSTATE] import-time fabric plugin registry

@@ -19,7 +19,6 @@ from repro.ni.cniq import CNI16Q, CNI512Q, CNI16Qm, CoherentQueueNI
 from repro.ni.cq import CachableQueue, QueueError, SenseReverseQueue, sense_for_pass
 from repro.ni.ni2w import NI2w, UncachedNI
 from repro.ni.registry import (
-    DEVICE_SCHEMA_VERSION,
     GENERATIVE_SAMPLE,
     DeviceSpec,
     synthesized_class,
@@ -71,7 +70,6 @@ __all__ = [
     "DeviceInfo",
     "DeviceSpec",
     "synthesized_class",
-    "DEVICE_SCHEMA_VERSION",
     "GENERATIVE_SAMPLE",
     "classify_existing_machines",
     "EVALUATED_DEVICES",

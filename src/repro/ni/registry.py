@@ -15,9 +15,7 @@ turns any legal taxonomy name into a working device:
   reconstruction across processes, see :class:`_SynthesizedMeta`) so the
   rest of the stack — ``create_ni``, ``validate_ni_kwargs``,
   ``Machine.build`` — treats generated devices exactly like the five
-  hand-registered paper devices;
-* :data:`DEVICE_SCHEMA_VERSION` versions the construction semantics so the
-  on-disk result cache can invalidate entries computed under older rules.
+  hand-registered paper devices.
 
 Sizing rules for generated devices (documented constants below):
 
@@ -47,12 +45,6 @@ from repro.ni.cni4 import CdrNI
 from repro.ni.cniq import CoherentQueueNI
 from repro.ni.ni2w import UncachedNI
 from repro.ni.taxonomy import NISpec, TaxonomyError, parse_ni_name
-
-#: Version of the device-construction semantics.  Bump whenever the way a
-#: taxonomy name maps to a concrete device changes (new sizing rules, new
-#: timing behaviour): cached experiment results keyed under an older
-#: version are then invalidated by :mod:`repro.api.cache`.
-DEVICE_SCHEMA_VERSION = 2
 
 #: FIFO messages per exposed word for the ``NI{n}w`` family (CM-5 anchor:
 #: NI2w buffers 4 messages behind its 2 exposed words).

@@ -5,7 +5,7 @@ Examples::
     python -m repro.service --port 8042
     python -m repro.service --store-dir .repro-cache --budget-mb 512 --jobs 4
 
-The store directory is shared with (and adopts entries from) the CLI's
+The store directory is shared with the CLI's
 ``--cache-dir``, so results computed by ``python -m repro.experiments.run``
 are served warm and vice versa.
 """
@@ -18,9 +18,8 @@ import sys
 import threading
 from typing import List, Optional
 
-from repro.api.cache import DEFAULT_CACHE_DIR
 from repro.service.http import ExperimentService, make_server
-from repro.service.store import ResultStore
+from repro.service.store import DEFAULT_CACHE_DIR, ResultStore
 
 
 def main(argv: Optional[List[str]] = None) -> int:

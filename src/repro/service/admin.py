@@ -8,9 +8,9 @@ Subcommands::
     cache pin KEYPREFIX [...]     # mark golden results (never evicted)
     cache unpin KEYPREFIX [...]
 
-All subcommands take ``--dir`` (default: the CLI cache directory) and work
-on sharded stores and legacy flat :class:`~repro.api.ResultCache`
-directories alike.
+All subcommands take ``--dir`` (default: the CLI cache directory).  An
+entry is ``stale`` when it was written under another model fingerprint
+(an older revision of the ``repro`` sources); ``gc`` prunes those.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.api.cache import DEFAULT_CACHE_DIR
-from repro.service.store import ResultStore
+from repro.service.store import DEFAULT_CACHE_DIR, ResultStore
 
 
 def _human(n: float) -> str:
@@ -47,14 +46,12 @@ def cmd_stats(store: ResultStore, args: argparse.Namespace) -> int:
     infos = list(store.entries(include_invalid=True))
     kinds: dict = {}
     states = {"ok": 0, "stale": 0, "corrupt": 0}
-    total = pinned = legacy = 0
+    total = pinned = 0
     for info in infos:
         total += info.size
         states[info.state] = states.get(info.state, 0) + 1
         if info.pinned:
             pinned += 1
-        if info.legacy:
-            legacy += 1
         if info.state == "ok":
             kinds[info.kind] = kinds.get(info.kind, 0) + 1
     report = {
@@ -62,7 +59,6 @@ def cmd_stats(store: ResultStore, args: argparse.Namespace) -> int:
         "entries": len(infos),
         "bytes": total,
         "pinned": pinned,
-        "legacy_flat": legacy,
         "states": states,
         "kinds": kinds,
     }
@@ -71,7 +67,7 @@ def cmd_stats(store: ResultStore, args: argparse.Namespace) -> int:
         return 0
     print(f"store {store.directory!r}: {len(infos)} entries, {_human(total)}")
     print(f"  ok={states['ok']} stale={states['stale']} corrupt={states['corrupt']}"
-          f" pinned={pinned} legacy-flat={legacy}")
+          f" pinned={pinned}")
     for kind in sorted(kinds):
         print(f"  {kind}: {kinds[kind]}")
     if states["stale"] or states["corrupt"]:
@@ -86,7 +82,7 @@ def cmd_ls(store: ResultStore, args: argparse.Namespace) -> int:
     ):
         flags = "".join(
             flag for flag, on in (
-                ("P", info.pinned), ("L", info.legacy),
+                ("P", info.pinned),
                 ("S", info.state == "stale"), ("C", info.state == "corrupt"),
             ) if on
         ) or "-"
@@ -150,7 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_stats.add_argument("--json", action="store_true", help="machine-readable output")
     p_ls = sub.add_parser("ls", help="list entries, most recently hit first")
     p_ls.add_argument("--all", action="store_true", help="include stale/corrupt entries")
-    p_gc = sub.add_parser("gc", help="prune stale-schema and corrupt entries")
+    p_gc = sub.add_parser("gc", help="prune stale and corrupt entries")
     p_gc.add_argument("--dry-run", action="store_true", help="report without deleting")
     p_gc.add_argument(
         "--max-bytes", type=int, default=None,

@@ -1,11 +1,23 @@
 """Concurrency-safe content-addressed result store.
 
-:class:`ResultStore` is the serving-grade evolution of
-:class:`repro.api.cache.ResultCache` — same interface (``get``/``put``/
-``stats``/``clear`` keyed by the spec-hash × DEVICE/FABRIC/PROTOCOL
-schema-version key), so a :class:`~repro.api.SweepRunner` accepts either —
-plus the properties a store needs once many processes hammer it:
+:class:`ResultStore` memoises :class:`~repro.api.RunResult` records on disk
+so repeated figure regeneration skips the simulation entirely.  The CLI's
+``--cache-dir``, :class:`~repro.api.SweepRunner` (``cache_dir="dir"``) and
+the HTTP service all use it, so a result computed by one is served warm by
+the others.
 
+* **Identity.**  An entry's key is
+  ``sha256(spec_hash : model_fingerprint [: plugin digests] [: kind token])``.
+  The model fingerprint (:func:`model_fingerprint`) hashes the relative
+  path and bytes of every ``.py`` file under ``repro/``, so *any* edit to
+  the package's source gives every spec a new key: a result never outlives
+  the code that produced it.  A spec naming a plugin registered from
+  outside ``repro`` (kind, workload, device, fabric or protocol) also folds
+  that plugin's source-file digest in, and a kind may add a per-spec token
+  (trace replay adds the trace file's digest, because a trace is input
+  data, not code).  Each entry is stamped with the fingerprint it was
+  written under; entries with a foreign stamp are never served and
+  :meth:`ResultStore.gc` prunes them as ``stale``.
 * **Sharded layout.**  Entries live under two-level fan-out directories
   (``ab/cd/<key>.json`` for key ``abcd…``), so a store holding hundreds of
   thousands of results never puts them all in one directory.
@@ -19,48 +31,178 @@ plus the properties a store needs once many processes hammer it:
   flag.  Metadata updates are best-effort read-modify-write — a lost
   last-hit update only makes the LRU ordering approximate, never unsafe.
 * **LRU eviction with a byte budget.**  ``budget_bytes`` caps the store;
-  :meth:`enforce_budget` evicts least-recently-hit entries until under
-  budget.  Pinned (golden) entries are **never** evicted, even if the
-  pinned set alone exceeds the budget.
-* **Key-addressed reads.**  :meth:`read_entry` serves the raw entry bytes
-  plus ETag for a bare key — the HTTP layer's pure read path, which never
-  parses a spec or constructs a Machine.
-* **Legacy adoption.**  A flat ``<kind>-<key>.json`` cache written by
-  :class:`ResultCache` is readable in place; entries migrate to the sharded
-  layout on first hit, so pointing the service at an existing
-  ``.repro-cache`` serves it warm.
+  :meth:`ResultStore.enforce_budget` evicts least-recently-hit entries
+  until under budget.  Pinned (golden) entries are **never** evicted, even
+  if the pinned set alone exceeds the budget.
+* **Key-addressed reads.**  :meth:`ResultStore.read_entry` serves the raw
+  entry bytes plus ETag for a bare key — the HTTP layer's pure read path,
+  which never parses a spec or constructs a Machine.
+
+Corrupt entries are treated as misses and rewritten; the store is safe to
+delete at any time.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import hashlib
 import json
 import os
+import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.api.cache import (
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    decode_entry,
-    encode_entry,
-    read_entry,
-    write_entry_atomic,
-)
+from repro.api.kinds import kind_spec
 from repro.api.results import RunResult
 from repro.api.spec import ExperimentSpec
+from repro.apps.registry import workload_class
+from repro.coherence.protocols.registry import plugin_source
+from repro.network.registry import fabric_class, parse_fabric
+from repro.ni.taxonomy import device_class
+
+#: Default store location (relative to the working directory).
+DEFAULT_CACHE_DIR = ".repro-cache"
 
 _META_SUFFIX = ".meta.json"
 
 #: Subdirectory corrupt entries are moved into.  The name is deliberately
 #: longer than two characters so quarantined files escape the sharded
-#: ``??/??/*.json`` walk (and the legacy flat ``*-*.json`` glob never
-#: descends into subdirectories) — a quarantined entry is invisible to
-#: every read, eviction and gc path until an operator inspects it.
+#: ``??/??/*.json`` walk — a quarantined entry is invisible to every read,
+#: eviction and gc path until an operator inspects it.
 _QUARANTINE_DIR = "quarantine"
+
+#: The ``repro`` package directory whose sources make up the fingerprint.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# ----------------------------------------------------------------------
+# Identity
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def model_fingerprint() -> str:
+    """sha256 over the relative path and bytes of every ``.py`` file under
+    the ``repro`` package, computed on first use and then kept for the
+    life of the process (never at import)."""
+    digest = hashlib.sha256()
+    for root, dirs, files in os.walk(_PACKAGE_DIR):
+        dirs.sort()
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            rel = os.path.relpath(path, _PACKAGE_DIR).replace(os.sep, "/")
+            digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _outside_source(obj: Any) -> Optional[str]:
+    """Source file of a plugin object defined outside ``repro`` (``None``
+    for built-ins, whose bytes the fingerprint already covers)."""
+    module = getattr(obj, "__module__", None) or ""
+    if module == "repro" or module.startswith("repro."):
+        return None
+    path = getattr(sys.modules.get(module), "__file__", None)
+    return path or f"<{module}.{getattr(obj, '__qualname__', '?')}>"
+
+
+def _source_digest(path: str) -> str:
+    """sha256 of a source file; the bare name when it cannot be read (a
+    plugin defined interactively has no file to version)."""
+    try:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return path
+
+
+def plugin_digests(spec: ExperimentSpec) -> List[str]:
+    """Source digests of the plugins ``spec`` names that were registered
+    from outside ``repro`` — read at call time, so editing a plugin's
+    module changes the keys of the specs that name it."""
+    sources = [_outside_source(kind_spec(spec.kind).measure), plugin_source(spec.params.get("protocol"))]
+    for lookup, name in (
+        (device_class, spec.device),
+        (workload_class, spec.workload),
+        (lambda fabric: fabric_class(parse_fabric(fabric).kind), spec.params.get("fabric")),
+    ):
+        if isinstance(name, str):
+            try:
+                sources.append(_outside_source(lookup(name)))
+            except ValueError:
+                pass  # an unknown name: validation reports it, not the key
+    return [_source_digest(path) for path in sources if path]
+
+
+# ----------------------------------------------------------------------
+# Entry codec
+# ----------------------------------------------------------------------
+def encode_entry(result: RunResult) -> Dict:
+    """``result`` as an entry payload, stamped with the model fingerprint."""
+    payload = result.to_dict()
+    payload["model_fingerprint"] = model_fingerprint()
+    return payload
+
+
+def decode_entry(payload: Any, spec: Optional[ExperimentSpec] = None) -> Optional[RunResult]:
+    """Decode an entry payload into a :class:`RunResult`, or ``None``.
+
+    ``None`` means the entry must be treated as a miss: the payload is
+    missing or has the wrong shape, was written under another model
+    fingerprint, or (when ``spec`` is given) records a different spec — a
+    hash collision in the filename or a hand-edited entry.
+    """
+    if payload is None:
+        return None
+    try:
+        result = RunResult.from_dict(payload)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    if payload.get("model_fingerprint") != model_fingerprint():
+        return None
+    if spec is not None and result.spec.spec_hash() != spec.spec_hash():
+        return None
+    return result
+
+
+def _read_json(path: str) -> Any:
+    """The JSON document at ``path``, or ``None`` if unreadable/torn."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
+
+
+def write_entry_atomic(path: str, payload: Dict) -> bytes:
+    """Serialise ``payload`` to ``path`` via tempfile + ``os.replace``.
+
+    The write-rename means a crashed or racing writer never leaves a torn
+    JSON file: concurrent writers of the same key each land a complete
+    entry, last rename wins.  Returns the exact bytes written, so callers
+    can derive content digests (ETags) without re-reading the file.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    return data
 
 
 class CorruptEntryError(RuntimeError):
@@ -86,19 +228,17 @@ class EntryInfo:
     hits: int = 0
     pinned: bool = False
     etag: str = ""
-    #: "ok" | "stale" (old schema/simulator revision) | "corrupt"
+    #: "ok" | "stale" (written under another model fingerprint) | "corrupt"
     state: str = "ok"
-    legacy: bool = False
 
 
-class ResultStore(ResultCache):
+class ResultStore:
     """Sharded, metadata-tracked, budget-evicted result store.
 
     Parameters
     ----------
     directory:
-        Store root.  May point at a legacy flat :class:`ResultCache`
-        directory — its entries are adopted.
+        Store root.
     budget_bytes:
         Byte budget for LRU eviction, or ``None`` for unbounded.  Workers
         inside a sweep pass ``None`` and let the owning process enforce the
@@ -106,16 +246,28 @@ class ResultStore(ResultCache):
     """
 
     def __init__(self, directory: str = DEFAULT_CACHE_DIR, budget_bytes: Optional[int] = None):
-        super().__init__(directory)
+        self.directory = directory
         self.budget_bytes = budget_bytes
+        self.hits = 0
+        self.misses = 0
+        #: Entries written through this instance.
+        self.stores = 0
         self.evictions = 0
         self.evicted_bytes = 0
         self.quarantined = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Paths
+    # Keys and paths
     # ------------------------------------------------------------------
+    def cache_key(self, spec: ExperimentSpec) -> str:
+        """The store key of ``spec`` (see the module docstring)."""
+        parts = [spec.spec_hash(), model_fingerprint(), *plugin_digests(spec)]
+        token = kind_spec(spec.kind).cache_token
+        if token is not None:
+            parts.append(token(spec))
+        return hashlib.sha256(":".join(parts).encode("utf-8")).hexdigest()
+
     def path_for_key(self, key: str) -> str:
         """Sharded entry path: ``<root>/<k[:2]>/<k[2:4]>/<key>.json``."""
         return os.path.join(self.directory, key[:2], key[2:4], f"{key}.json")
@@ -125,11 +277,6 @@ class ResultStore(ResultCache):
 
     def meta_path_for_key(self, key: str) -> str:
         return os.path.join(self.directory, key[:2], key[2:4], f"{key}{_META_SUFFIX}")
-
-    def _legacy_path(self, key: str) -> Optional[str]:
-        """A flat ``<kind>-<key>.json`` entry left by :class:`ResultCache`."""
-        matches = glob.glob(os.path.join(self.directory, f"*-{key}.json"))
-        return matches[0] if matches else None
 
     @property
     def quarantine_dir(self) -> str:
@@ -171,30 +318,16 @@ class ResultStore(ResultCache):
         )
 
     # ------------------------------------------------------------------
-    # The ResultCache interface
+    # Spec-addressed reads and writes
     # ------------------------------------------------------------------
     def get(self, spec: ExperimentSpec) -> Optional[RunResult]:
+        """The stored result for ``spec``, or None on a miss."""
         key = self.cache_key(spec)
-        payload = read_entry(self.path_for_key(key))
-        migrated_from = None
-        if payload is None:
-            legacy = self._legacy_path(key)
-            if legacy is not None:
-                payload = read_entry(legacy)
-                migrated_from = legacy
-        result = decode_entry(payload, spec) if payload is not None else None
+        result = decode_entry(_read_json(self.path_for_key(key)), spec)
         if result is None:
             with self._lock:
                 self.misses += 1
             return None
-        if migrated_from is not None:
-            # Adopt the legacy flat entry into the sharded layout.
-            data = write_entry_atomic(self.path_for_key(key), payload)
-            self._write_meta(key, result.spec.kind, data, preserve=True)
-            try:
-                os.unlink(migrated_from)
-            except OSError:
-                pass
         self._touch(key)
         with self._lock:
             self.hits += 1
@@ -207,18 +340,13 @@ class ResultStore(ResultCache):
         Dedup waiters poll this while a leader runs; a poll loop must not
         inflate miss counters or burn last-hit updates.
         """
-        key = self.cache_key(spec)
-        payload = read_entry(self.path_for_key(key))
-        if payload is None:
-            legacy = self._legacy_path(key)
-            if legacy is not None:
-                payload = read_entry(legacy)
-        result = decode_entry(payload, spec) if payload is not None else None
+        result = decode_entry(_read_json(self.path_for(spec)), spec)
         if result is not None:
             result.cached = True
         return result
 
     def put(self, result: RunResult, pinned: Optional[bool] = None) -> str:
+        """Persist ``result``; returns the entry path written."""
         key = self.cache_key(result.spec)
         path = self.path_for_key(key)
         data = write_entry_atomic(path, encode_entry(result))
@@ -230,7 +358,7 @@ class ResultStore(ResultCache):
         return path
 
     def clear(self) -> int:
-        """Remove every entry (sharded and legacy flat); returns the count."""
+        """Remove every entry; returns the count."""
         removed = 0
         for info in self.entries(include_invalid=True):
             try:
@@ -241,12 +369,16 @@ class ResultStore(ResultCache):
             self._unlink_meta(info.key)
         return removed
 
+    def counters(self) -> Dict[str, int]:
+        """This instance's hit/miss/store counters (no filesystem walk)."""
+        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
+
     def stats(self) -> Dict[str, int]:
+        """:meth:`counters` plus eviction totals and the store's current
+        usage (walks every entry)."""
         entries, total, pinned = self._usage()
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
+            **self.counters(),
             "evictions": self.evictions,
             "evicted_bytes": self.evicted_bytes,
             "quarantined": self.quarantined,
@@ -262,30 +394,26 @@ class ResultStore(ResultCache):
         """The raw entry bytes and strong ETag for ``key``, or ``None``.
 
         This is the serving read path: one file read plus a JSON
-        well-formedness check (no result decode, no spec validation, and
-        definitely no Machine construction).  A torn entry is moved to
-        quarantine and surfaces as :class:`CorruptEntryError` so the HTTP
-        layer can answer 503 instead of shipping garbage bytes.
+        well-formedness and fingerprint-stamp check (no result decode, no
+        spec validation, and definitely no Machine construction).  An entry
+        written under another model fingerprint reads as ``None``.  A torn
+        entry is moved to quarantine and surfaces as
+        :class:`CorruptEntryError` so the HTTP layer can answer 503 instead
+        of shipping garbage bytes.
         """
         path = self.path_for_key(key)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            legacy = self._legacy_path(key)
-            if legacy is None:
-                return None
-            path = legacy
-            try:
-                with open(legacy, "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                return None
+            return None
         try:
-            json.loads(data)
+            payload = json.loads(data)
         except ValueError:
             self.quarantine(key, path)
             raise CorruptEntryError(f"store entry {key[:12]}… is corrupt; quarantined")
+        if not isinstance(payload, dict) or payload.get("model_fingerprint") != model_fingerprint():
+            return None
         meta = self.read_meta(key)
         etag = meta.get("etag") or hashlib.sha256(data).hexdigest()
         self._touch(key)
@@ -301,7 +429,7 @@ class ResultStore(ResultCache):
         torn or wrong-shaped one must never take down a read path: anything
         that is not a JSON object degrades to empty metadata.
         """
-        meta = read_entry(self.meta_path_for_key(key))
+        meta = _read_json(self.meta_path_for_key(key))
         return meta if isinstance(meta, dict) else {}
 
     def _write_meta(
@@ -329,7 +457,7 @@ class ResultStore(ResultCache):
     def _touch(self, key: str) -> None:
         """Best-effort last-hit bump; losing a racing update is harmless."""
         path = self.meta_path_for_key(key)
-        meta = read_entry(path)
+        meta = _read_json(path)
         if not isinstance(meta, dict):
             return
         meta["last_hit"] = time.time()
@@ -352,19 +480,7 @@ class ResultStore(ResultCache):
         """Mark the entry as golden (never evicted); False if no such entry."""
         path = self.path_for_key(key)
         if not os.path.exists(path):
-            legacy = self._legacy_path(key)
-            if legacy is None:
-                return False
-            # Pins need metadata: adopt the legacy entry first.
-            payload = read_entry(legacy)
-            if payload is None:
-                return False
-            data = write_entry_atomic(path, payload)
-            self._write_meta(key, str(payload.get("spec", {}).get("kind", "?")), data)
-            try:
-                os.unlink(legacy)
-            except OSError:
-                pass
+            return False
         meta = self.read_meta(key)
         if not meta:
             with open(path, "rb") as handle:
@@ -386,49 +502,35 @@ class ResultStore(ResultCache):
     # Walks, eviction, gc
     # ------------------------------------------------------------------
     def entries(self, include_invalid: bool = False) -> Iterator[EntryInfo]:
-        """Every entry in the store (sharded and legacy flat).
+        """Every entry in the store.
 
         With ``include_invalid`` the walk also yields entries classified
-        ``corrupt`` (unreadable/torn JSON) or ``stale`` (written under an
-        old schema or simulator revision); by default only ``ok`` entries.
+        ``corrupt`` (unreadable/torn JSON) or ``stale`` (written under
+        another model fingerprint); by default only ``ok`` entries.
         """
-        seen = set()
         for path in glob.glob(os.path.join(self.directory, "??", "??", "*.json")):
             name = os.path.basename(path)
             if name.endswith(_META_SUFFIX):
                 continue
-            key = name[: -len(".json")]
-            seen.add(key)
-            info = self._classify(key, path, legacy=False)
-            if include_invalid or info.state == "ok":
-                yield info
-        for path in glob.glob(os.path.join(self.directory, "*-*.json")):
-            key = os.path.basename(path)[: -len(".json")].rsplit("-", 1)[-1]
-            if key in seen:
-                continue
-            info = self._classify(key, path, legacy=True)
+            info = self._classify(name[: -len(".json")], path)
             if include_invalid or info.state == "ok":
                 yield info
 
-    def _classify(self, key: str, path: str, legacy: bool) -> EntryInfo:
+    def _classify(self, key: str, path: str) -> EntryInfo:
         try:
             size = os.path.getsize(path)
         except OSError:
             size = 0
-        payload = read_entry(path)
-        result = decode_entry(payload) if payload is not None else None
-        if payload is None:
-            state = "corrupt"
-        elif result is None:
-            # Parsed JSON that does not decode under the live schema: either
-            # the wrong shape entirely (corrupt) or an old-revision entry.
+        payload = _read_json(path)
+        state = "corrupt"
+        if payload is not None:
             try:
                 RunResult.from_dict(payload)
-                state = "stale"
             except (ValueError, KeyError, TypeError, AttributeError):
-                state = "corrupt"
-        else:
-            state = "ok"
+                pass
+            else:
+                current = payload.get("model_fingerprint") == model_fingerprint()
+                state = "ok" if current else "stale"
         meta = self.read_meta(key)
         mtime = 0.0
         try:
@@ -444,14 +546,13 @@ class ResultStore(ResultCache):
             key=key,
             path=path,
             size=size,
-            kind=meta.get("kind", kind) if meta else kind,
-            created=float(meta.get("created", mtime)) if meta else mtime,
-            last_hit=float(meta.get("last_hit", mtime)) if meta else mtime,
-            hits=int(meta.get("hits", 0)) if meta else 0,
-            pinned=bool(meta.get("pinned", False)) if meta else False,
-            etag=str(meta.get("etag", "")) if meta else "",
+            kind=meta.get("kind", kind),
+            created=float(meta.get("created", mtime)),
+            last_hit=float(meta.get("last_hit", mtime)),
+            hits=int(meta.get("hits", 0)),
+            pinned=bool(meta.get("pinned", False)),
+            etag=str(meta.get("etag", "")),
             state=state,
-            legacy=legacy,
         )
 
     def _usage(self) -> Tuple[int, int, int]:
@@ -501,11 +602,13 @@ class ResultStore(ResultCache):
             return evicted
 
     def gc(self, dry_run: bool = False) -> Dict[str, int]:
-        """Prune corrupt and stale-schema entries (plus orphaned sidecars).
+        """Prune corrupt and stale entries (plus orphaned sidecars and temp
+        files).
 
-        Today those linger as dead files that every reader re-classifies as
-        a miss; gc reclaims them.  Returns a report of what was (or, with
-        ``dry_run``, would be) removed.
+        Stale entries — written under another model fingerprint — are
+        unreachable by key once the code changes; gc reclaims them.
+        Returns a report of what was (or, with ``dry_run``, would be)
+        removed.
         """
         report = {
             "stale": 0,

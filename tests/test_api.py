@@ -13,7 +13,6 @@ import pytest
 from repro import Machine
 from repro.api import (
     ExperimentSpec,
-    ResultCache,
     ResultSet,
     RunResult,
     SpecError,
@@ -30,6 +29,7 @@ from repro.api import (
 from repro.experiments.run import main as run_main
 from repro.ni.taxonomy import TaxonomyError
 from repro.node.node import NodeConfigError
+from repro.service.store import ResultStore, encode_entry
 
 #: A tiny latency spec used throughout (fast: 3 iterations, 1 warm-up).
 QUICK = dict(kind="latency", message_bytes=8, iterations=3, warmup=1)
@@ -58,6 +58,27 @@ class TestSpec:
         assert spec.spec_hash() == (
             "e4f937cae1d22b02a9dc22329bb496646568bfee5e1c939a58372002ec9e4bd2"
         )
+
+    #: One spec per built-in kind and its hash.  Store keys fold in the model
+    #: fingerprint, but the spec hash beneath them must never move.
+    KIND_HASH_PINS = [
+        (dict(kind="latency", device="CNI16Q", message_bytes=64, iterations=4, warmup=1),
+         "4c8aa8c37ced3c3462a316498f7a5681632d2fbc6d5235efadf2cb5948c5af98"),
+        (dict(kind="bandwidth", device="NI2w", bus="io", message_bytes=256, messages=20),
+         "8800da0c1daeee002975d63ddde5c3f50f5e005fca3b38ebc80c47218f9f9ae0"),
+        (dict(kind="macro", workload="gauss", num_nodes=4, scale=0.25),
+         "563e8f8e7b45b887de349c4c4131d6ecc8473a3abd128ded3d8acf6d7252c4aa"),
+        (dict(kind="engine", device="NI2w", workload="em3d", num_nodes=4, scale=0.1),
+         "894d05a6e2790e451b06e8e04598d2a97610c7068469745424c62bcb3c420af7"),
+        (dict(kind="traffic", workload="uniform", num_nodes=4, scale=0.25),
+         "0a6fbe3696be484d469d3b18099e941b4f17c8c0b8792eee326cf8faadea50de"),
+        (dict(kind="replay", workload="replay", num_nodes=4, workload_kwargs={"trace": "gauss.trace"}),
+         "9b4355f9855fa16ddbece6d793fb5c82fc7814659d82b9858477f730bfed2ea5"),
+    ]
+
+    @pytest.mark.parametrize("fields, pinned", KIND_HASH_PINS, ids=[f["kind"] for f, _ in KIND_HASH_PINS])
+    def test_hash_pinned_per_kind(self, fields, pinned):
+        assert ExperimentSpec(**fields).spec_hash() == pinned
 
     def test_hash_sensitive_to_every_axis(self):
         base = ExperimentSpec(**QUICK)
@@ -228,12 +249,12 @@ class TestRunnerCache:
         cache_dir = str(tmp_path / "cache")
         first = SweepRunner(cache_dir=cache_dir)
         uncached = first.run(quick_sweep())
-        assert first.cache_stats() == {"hits": 0, "misses": 4}
+        assert first.cache_stats() == {"hits": 0, "misses": 4, "stores": 4}
         assert all(not r.cached for r in uncached)
 
         second = SweepRunner(cache_dir=cache_dir)
         cached = second.run(quick_sweep())
-        assert second.cache_stats() == {"hits": 4, "misses": 0}
+        assert second.cache_stats() == {"hits": 4, "misses": 0, "stores": 0}
         assert all(r.cached for r in cached)
         assert cached == uncached  # equality ignores provenance
 
@@ -242,7 +263,7 @@ class TestRunnerCache:
         spec = ExperimentSpec(**QUICK)
         runner = SweepRunner(cache_dir=cache_dir)
         result = runner.run_one(spec)
-        path = ResultCache(cache_dir).path_for(spec)
+        path = ResultStore(cache_dir).path_for(spec)
         with open(path, "w") as handle:
             handle.write("{not json")
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
@@ -257,7 +278,7 @@ class TestRunnerCache:
         cache_dir = str(tmp_path / "cache")
         spec = ExperimentSpec(**QUICK)
         result = SweepRunner(cache_dir=cache_dir).run_one(spec)
-        with open(ResultCache(cache_dir).path_for(spec), "w") as handle:
+        with open(ResultStore(cache_dir).path_for(spec), "w") as handle:
             handle.write(contents)
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
         assert rerun == result
@@ -269,9 +290,11 @@ class TestRunnerCache:
         other = ExperimentSpec(**QUICK, device="CNI4")
         runner = SweepRunner(cache_dir=cache_dir)
         other_result = runner.run_one(other)
-        # Plant the other spec's result under this spec's cache path.
-        with open(ResultCache(cache_dir).path_for(spec), "w") as handle:
-            handle.write(other_result.to_json())
+        # Plant the other spec's (current-stamped) entry under this spec's key.
+        path = ResultStore(cache_dir).path_for(spec)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as handle:
+            json.dump(encode_entry(other_result), handle)
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
         assert rerun.spec == spec
         assert not rerun.cached
@@ -284,14 +307,16 @@ class TestRunnerCache:
         assert results[0] is results[1] is results[2]
 
     def test_cache_entry_from_other_simulator_version_is_a_miss(self, tmp_path):
+        """An entry stamped with another model fingerprint is never served,
+        even when it sits at the live key."""
         cache_dir = str(tmp_path / "cache")
         spec = ExperimentSpec(**QUICK)
         runner = SweepRunner(cache_dir=cache_dir)
         result = runner.run_one(spec)
-        path = ResultCache(cache_dir).path_for(spec)
+        path = ResultStore(cache_dir).path_for(spec)
         with open(path) as handle:
             payload = json.load(handle)
-        payload["repro_version"] = "0.0.0-stale"
+        payload["model_fingerprint"] = "0" * 64
         with open(path, "w") as handle:
             json.dump(payload, handle)
         follow_up = SweepRunner(cache_dir=cache_dir)
@@ -302,6 +327,20 @@ class TestRunnerCache:
         # The stale entry was rewritten: a third runner hits.
         third = SweepRunner(cache_dir=cache_dir)
         assert third.run_one(spec).cached
+
+    def test_warm_run_does_not_walk_the_store(self, tmp_path, monkeypatch):
+        """A sweep reports its counters only; the store's usage walk (every
+        entry read and decoded) stays out of ``run()``."""
+        cache_dir = str(tmp_path / "cache")
+        SweepRunner(cache_dir=cache_dir).run(quick_sweep())
+
+        def no_walk(self, include_invalid=False):
+            raise AssertionError("run() walked the store")
+
+        monkeypatch.setattr(ResultStore, "entries", no_walk)
+        warm = SweepRunner(cache_dir=cache_dir).run(quick_sweep())
+        assert all(r.cached for r in warm)
+        assert warm.cache_stats == {"hits": 4, "misses": 0, "stores": 0}
 
     def test_runner_history_memoises_across_run_calls(self):
         spec = ExperimentSpec(**QUICK)
@@ -315,7 +354,7 @@ class TestRunnerCache:
     def test_cache_clear(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         SweepRunner(cache_dir=cache_dir).run(quick_sweep())
-        cache = ResultCache(cache_dir)
+        cache = ResultStore(cache_dir)
         assert cache.clear() == 4
         assert cache.clear() == 0
 
@@ -443,11 +482,10 @@ class TestCli:
             payload2 = json.load(handle)
         # fig6 has 36 points but only 30 unique specs (the alternate panel
         # shares 6 with the memory/io panels); duplicates come from the
-        # runner's in-process history, not the disk cache.  The CLI's memo
-        # is a ResultStore, so the stats carry store counters too.
-        assert payload2["cache"]["hits"] == 30
-        assert payload2["cache"]["misses"] == 0
-        assert payload2["cache"]["entries"] == 30
+        # runner's in-process history, not the disk cache.  The payload
+        # carries the run's counters; the store's usage is `cache stats`.
+        assert payload2["cache"] == {"hits": 30, "misses": 0, "stores": 0}
+        assert ResultStore(cache).stats()["entries"] == 30
         assert ResultSet.from_dict(payload2) == results
 
     def test_tables_include_rows_in_json(self, tmp_path, capsys):
@@ -524,7 +562,7 @@ class TestEngineKind:
         runner.run_one(spec)
         runner.run_one(spec)
         # Wall-clock measurements must re-run: no cache traffic at all.
-        assert runner.cache_stats() == {"hits": 0, "misses": 0}
+        assert runner.cache_stats() == {"hits": 0, "misses": 0, "stores": 0}
 
     def test_cni4_rejects_messages_larger_than_its_cdr_window(self):
         from repro.common.params import DEFAULT_PARAMS

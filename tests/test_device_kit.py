@@ -1,12 +1,13 @@
 """End-to-end tests for the composable device kit: new taxonomy points,
 the plugin API, the device-space presets and cache invalidation."""
 
+import json
+
 import pytest
 
 from conftest import build_machine, run_ping_pong, run_stream
 from repro.api import (
     ExperimentSpec,
-    ResultCache,
     SweepRunner,
     device_space_sweep,
     run_point,
@@ -15,6 +16,8 @@ from repro.api.spec import SpecError
 from repro.common.types import BusKind
 from repro.ni import ComposedNI, NI2w, register_device, unregister_device
 from repro.ni.primitives import UncachedRecvPort, UncachedSendPort
+from repro.service import store as store_module
+from repro.service.store import ResultStore
 
 #: Taxonomy points the paper never evaluated, all synthesized by the registry.
 NEW_POINTS = ("NI16w", "NI128Q", "CNI64Q", "CNI16", "CNI4Qm")
@@ -266,44 +269,37 @@ class TestDeviceSpaceSweep:
 
 
 class TestCacheSchemaInvalidation:
+    """The result store's identity is the model fingerprint: any change to
+    the simulator's sources changes every key (no hand-bumped constants)."""
+
+    SPEC = dict(kind="latency", device="NI2w", message_bytes=16, iterations=2, warmup=1)
+
     def test_schema_bump_invalidates_entries(self, tmp_path, monkeypatch):
-        spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
-                              iterations=2, warmup=1)
-        cache = ResultCache(str(tmp_path))
-        cache.put(run_point(spec))
-        assert cache.get(spec) is not None
+        spec = ExperimentSpec(**self.SPEC)
+        store = ResultStore(str(tmp_path))
+        store.put(run_point(spec))
+        assert store.get(spec) is not None
 
-        import repro.api.cache as cache_module
-
-        monkeypatch.setattr(cache_module, "DEVICE_SCHEMA_VERSION",
-                            cache_module.DEVICE_SCHEMA_VERSION + 1)
-        fresh = ResultCache(str(tmp_path))
+        monkeypatch.setattr(store_module, "model_fingerprint", lambda: "f" * 64)
+        fresh = ResultStore(str(tmp_path))
         assert fresh.get(spec) is None  # key no longer matches
 
     def test_schema_version_stamped_in_payload(self, tmp_path):
-        import json
-
-        from repro.ni import DEVICE_SCHEMA_VERSION
-
-        spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
-                              iterations=2, warmup=1)
-        cache = ResultCache(str(tmp_path))
-        path = cache.put(run_point(spec))
+        spec = ExperimentSpec(**self.SPEC)
+        path = ResultStore(str(tmp_path)).put(run_point(spec))
         payload = json.loads(open(path).read())
-        assert payload["device_schema_version"] == DEVICE_SCHEMA_VERSION
+        assert payload["model_fingerprint"] == store_module.model_fingerprint()
+        assert not any(key.endswith("schema_version") for key in payload)
 
     def test_stale_payload_stamp_is_a_miss(self, tmp_path):
-        import json
-
-        spec = ExperimentSpec(kind="latency", device="NI2w", message_bytes=16,
-                              iterations=2, warmup=1)
-        cache = ResultCache(str(tmp_path))
-        path = cache.put(run_point(spec))
+        spec = ExperimentSpec(**self.SPEC)
+        store = ResultStore(str(tmp_path))
+        path = store.put(run_point(spec))
         payload = json.loads(open(path).read())
-        payload["device_schema_version"] = -1
+        payload["model_fingerprint"] = "0" * 64
         with open(path, "w") as handle:
             json.dump(payload, handle)
-        assert cache.get(spec) is None
+        assert store.get(spec) is None
 
 
 class TestMachineDeviceSpace:

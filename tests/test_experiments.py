@@ -2,16 +2,15 @@
 
 import pytest
 
+from repro.api import SweepRunner, macro_sweep, occupancy_reductions, speedups
 from repro.experiments import (
     ALTERNATE_BUS_CONFIGS,
     BASELINE,
     IO_BUS_DEVICES,
     MEMORY_BUS_DEVICES,
     bandwidth,
-    bus_occupancy_reduction,
     round_trip_latency,
     run_macrobenchmark,
-    speedup_sweep,
 )
 from repro.experiments import figures, report, tables
 from repro.experiments.microbench import MicrobenchmarkError
@@ -100,21 +99,21 @@ class TestMacroExperiments:
         assert result.memory_bus_occupancy > 0
 
     def test_speedup_sweep_includes_baseline(self):
-        sweep = speedup_sweep(
-            "gauss",
+        sweep = macro_sweep(
+            ["gauss"],
             [("CNI16Qm", "memory")],
             num_nodes=4,
             scale=0.15,
-            workload_kwargs={"elimination_cycles": 2000},
+            workload_kwargs={"gauss": {"elimination_cycles": 2000}},
         )
-        assert sweep["NI2w@memory"]["speedup"] == 1.0
-        assert "CNI16Qm@memory" in sweep
-        assert sweep["CNI16Qm@memory"]["speedup"] > 0
+        ratios = speedups(SweepRunner().run(sweep), "gauss")
+        assert ratios["NI2w@memory"] == 1.0
+        assert "CNI16Qm@memory" in ratios
+        assert ratios["CNI16Qm@memory"] > 0
 
     def test_bus_occupancy_reduction_positive_for_cqs(self):
-        reductions = bus_occupancy_reduction(
-            "gauss", devices=("NI2w", "CNI512Q"), num_nodes=4, scale=0.15
-        )
+        sweep = macro_sweep(["gauss"], [("CNI512Q", "memory")], num_nodes=4, scale=0.15)
+        reductions = occupancy_reductions(SweepRunner().run(sweep), "gauss")
         assert reductions["NI2w"] == 0.0
         assert reductions["CNI512Q"] > 0.0
 

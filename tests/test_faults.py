@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ExperimentSpec, SweepRunner, fault_sweep, run_point
-from repro.apps import DIAGNOSTIC_WORKLOADS, MACROBENCHMARKS, create_workload
+from repro.apps import create_workload, workload_names
 from repro.common.params import MachineParams, ParameterError
 from repro.faults import (
     FaultPlan,
@@ -163,8 +163,8 @@ class TestFaultDeterminism:
 # ---------------------------------------------------------------------------
 class TestWatchdog:
     def test_hang_is_diagnostic_not_a_macrobenchmark(self):
-        assert "hang" in DIAGNOSTIC_WORKLOADS
-        assert "hang" not in MACROBENCHMARKS
+        assert "hang" in workload_names("diagnostic")
+        assert "hang" not in workload_names("macro")
 
     def test_quiescent_deadlock_yields_wait_for_graph(self):
         machine = build_machine(num_nodes=4)

@@ -608,20 +608,23 @@ class TestMachineIntegration:
             assert spec.kind == "macro"
 
     def test_result_cache_key_tracks_protocol_schema(self, tmp_path):
+        """A protocol registered from outside ``repro`` folds its registering
+        module's source digest into the store key; built-in tables are
+        covered by the model fingerprint and fold nothing."""
+        import hashlib
+
         from repro.api import ExperimentSpec
-        from repro.api.cache import ResultCache
-        from repro.coherence.protocols import PROTOCOL_SCHEMA_VERSION
+        from repro.service.store import ResultStore, plugin_digests
 
-        cache = ResultCache(str(tmp_path))
-        spec = ExperimentSpec(kind="latency", device="CNI16Qm", bus="memory")
-        path = cache.path_for(spec)
-        assert PROTOCOL_SCHEMA_VERSION == 1
-        # The key is a hash; changing the schema version must change it.
-        import repro.api.cache as api_cache
-
-        old = api_cache.PROTOCOL_SCHEMA_VERSION
+        store = ResultStore(str(tmp_path))
+        assert plugin_digests(ExperimentSpec(kind="latency", params={"protocol": "msi"})) == []
+        register_protocol(replace(protocol_spec("msi"), name="msiplug"))
+        spec = ExperimentSpec(kind="latency", params={"protocol": "msiplug"})
         try:
-            api_cache.PROTOCOL_SCHEMA_VERSION = old + 1
-            assert cache.path_for(spec) != path
+            with open(__file__, "rb") as handle:
+                assert plugin_digests(spec) == [hashlib.sha256(handle.read()).hexdigest()]
+            key = store.cache_key(spec)
         finally:
-            api_cache.PROTOCOL_SCHEMA_VERSION = old
+            unregister_protocol("msiplug")
+        assert plugin_digests(spec) == []
+        assert store.cache_key(spec) != key

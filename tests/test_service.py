@@ -14,6 +14,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -21,7 +24,8 @@ import urllib.request
 
 import pytest
 
-from repro.api import ExperimentSpec, ResultCache, RunResult, SweepRunner, run_point
+import repro
+from repro.api import ExperimentSpec, RunResult, SweepRunner, run_point
 from repro.api.runner import _run_point_payload
 from repro.service import (
     DedupError,
@@ -30,6 +34,7 @@ from repro.service import (
     ResultStore,
     make_server,
 )
+from repro.service import store as store_module
 from repro.service.admin import main as admin_main
 
 QUICK = dict(
@@ -79,23 +84,6 @@ class TestResultStore:
         stats = store.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
 
-    def test_adopts_legacy_flat_cache_entries(self, tmp_path):
-        cache_dir = str(tmp_path / "legacy")
-        spec = quick_spec()
-        legacy = ResultCache(cache_dir)
-        legacy.put(run_point(spec))
-        store = ResultStore(cache_dir)
-        result = store.get(spec)
-        assert result is not None
-        # Migrated into the sharded layout; the flat file is gone.
-        key = store.cache_key(spec)
-        assert os.path.exists(store.path_for_key(key))
-        assert not os.path.exists(legacy.path_for(spec))
-        # read_entry by bare key also finds (unmigrated) legacy entries.
-        legacy.put(run_point(quick_spec(message_bytes=32)))
-        other_key = store.cache_key(quick_spec(message_bytes=32))
-        assert store.read_entry(other_key) is not None
-
     def test_corrupt_entry_is_a_miss_and_gc_prunes_it(self, store):
         spec = quick_spec()
         store.put(run_point(spec))
@@ -112,14 +100,33 @@ class TestResultStore:
         path = store.path_for(spec)
         with open(path) as handle:
             payload = json.load(handle)
-        payload["device_schema_version"] = "0.0-ancient"
+        payload["model_fingerprint"] = "0" * 64
         with open(path, "w") as handle:
             json.dump(payload, handle)
         assert store.get(spec) is None
+        assert store.read_entry(store.cache_key(spec)) is None
         infos = {i.key: i for i in store.entries(include_invalid=True)}
         assert infos[store.cache_key(spec)].state == "stale"
         report = store.gc()
         assert report["stale"] == 1
+
+    def test_gc_prunes_entries_written_under_another_fingerprint(self, store, monkeypatch):
+        """A code change strands the old entries under keys nothing asks
+        for; their foreign fingerprint stamp lets gc count and prune them."""
+        old_spec, new_spec = quick_spec(), quick_spec(message_bytes=32)
+        monkeypatch.setattr(store_module, "model_fingerprint", lambda: "a" * 64)
+        old_key = store.cache_key(old_spec)
+        store.put(run_point(old_spec))
+        monkeypatch.undo()
+        store.put(run_point(new_spec))
+        assert store.cache_key(old_spec) != old_key
+        assert store.read_entry(old_key) is None  # GET /result/<old key> is a 404
+        states = {i.key: i.state for i in store.entries(include_invalid=True)}
+        assert states == {old_key: "stale", store.cache_key(new_spec): "ok"}
+        report = store.gc()
+        assert report["stale"] == 1 and report["corrupt"] == 0
+        assert [i.key for i in store.entries(include_invalid=True)] == [store.cache_key(new_spec)]
+        assert store.get(new_spec) is not None
 
     def test_gc_dry_run_keeps_files(self, store):
         spec = quick_spec()
@@ -172,10 +179,12 @@ class TestResultStore:
         assert not store.read_meta(key)["pinned"]
         assert not store.pin("f" * 64)  # unknown key
 
-    def test_clear_removes_sharded_and_legacy(self, tmp_path):
-        cache_dir = str(tmp_path / "c")
-        ResultCache(cache_dir).put(run_point(quick_spec()))
-        store = ResultStore(cache_dir)
+    def test_clear_removes_sharded_and_legacy(self, store, monkeypatch):
+        """clear() removes current entries and ones an older revision of the
+        code left behind (foreign fingerprint stamp)."""
+        monkeypatch.setattr(store_module, "model_fingerprint", lambda: "a" * 64)
+        store.put(run_point(quick_spec()))
+        monkeypatch.undo()
         store.put(run_point(quick_spec(message_bytes=32)))
         assert store.clear() == 2
         assert store.stats()["entries"] == 0
@@ -681,6 +690,58 @@ class TestHttpDedupFanIn:
 
 
 # ---------------------------------------------------------------------------
+# Model fingerprint: a code change misses the store
+# ---------------------------------------------------------------------------
+#: Runs one Fig 6 point against the store named by argv[1] and prints its
+#: cycles, provenance and the runner's store counters as JSON.
+_POINT_SCRIPT = """
+import json, sys
+from repro.api import ExperimentSpec, SweepRunner
+spec = ExperimentSpec(kind="latency", device="CNI16Q", bus="memory",
+                      message_bytes=64, iterations=4, warmup=1)
+runner = SweepRunner(cache_dir=sys.argv[1])
+result = runner.run_one(spec)
+print(json.dumps({"cycles": result.metrics["round_trip_cycles"],
+                  "cached": result.cached, **runner.cache_stats()}))
+"""
+
+
+class TestModelFingerprint:
+    def test_model_edit_misses_the_store(self, tmp_path):
+        """A store filled by one revision of the model must not serve the
+        next: here a copy of the package with a slower network."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            os.path.dirname(repro.__file__), src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        store_dir = str(tmp_path / "store")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def run(*args: str) -> str:
+            return subprocess.run(
+                [sys.executable, *args], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            ).stdout
+
+        def point() -> dict:
+            return json.loads(run("-c", _POINT_SCRIPT, store_dir))
+
+        cold = {"cached": False, "hits": 0, "misses": 1, "stores": 1}
+        assert point() == {"cycles": 1248.25, **cold}
+        assert point() == {"cycles": 1248.25, "cached": True, "hits": 1, "misses": 0, "stores": 0}
+        params = src / "repro" / "common" / "params.py"
+        text = params.read_text()
+        assert "network_latency_cycles: int = 100" in text
+        params.write_text(text.replace("network_latency_cycles: int = 100", "network_latency_cycles: int = 300"))
+        assert point() == {"cycles": 1647.75, **cold}
+        # The first revision's entry is now stale: gc counts and prunes it.
+        out = run("-m", "repro.experiments.run", "cache", "--dir", store_dir, "gc")
+        assert "removed 1 stale + 0 corrupt" in out
+        assert point() == {"cycles": 1647.75, "cached": True, "hits": 1, "misses": 0, "stores": 0}
+
+
+# ---------------------------------------------------------------------------
 # Worker cache-counter aggregation (SweepRunner --jobs)
 # ---------------------------------------------------------------------------
 class TestWorkerCacheAggregation:
@@ -701,10 +762,14 @@ class TestWorkerCacheAggregation:
         assert warm.cache_stats()["hits"] == 4
         assert again == results
 
-    def test_plain_cache_parallel_keeps_two_key_stats(self, tmp_path):
-        runner = SweepRunner(jobs=2, cache_dir=str(tmp_path / "flat"))
+    def test_string_cache_dir_opens_the_sharded_store(self, tmp_path):
+        directory = str(tmp_path / "s")
+        runner = SweepRunner(jobs=2, cache_dir=directory)
         runner.run(self.sweep())
-        assert runner.cache_stats() == {"hits": 0, "misses": 4}
+        assert isinstance(runner.cache, ResultStore)
+        assert runner.cache_stats() == {"hits": 0, "misses": 4, "stores": 4}
+        keys = sorted(runner.cache.cache_key(spec) for spec in self.sweep())
+        assert sorted(i.key for i in ResultStore(directory).entries()) == keys
 
     def test_worker_reports_cross_process_fill_as_hit(self, tmp_path):
         """A point another process finished after the parent's pre-check is
@@ -713,9 +778,7 @@ class TestWorkerCacheAggregation:
         directory = str(tmp_path / "s")
         spec = quick_spec()
         ResultStore(directory).put(run_point(spec))
-        out = _run_point_payload(
-            {"spec": spec.to_dict(), "cache": {"directory": directory, "sharded": True}}
-        )
+        out = _run_point_payload({"spec": spec.to_dict(), "cache": directory})
         assert out["cache"] == {"hits": 1, "stores": 0}
         assert RunResult.from_dict(out["result"]).cached
 

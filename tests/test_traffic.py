@@ -1,13 +1,17 @@
 """Tests for the kind/workload registries, synthetic traffic, and traces.
 
 Covers the registry redesign (register/unregister round-trips, unknown
-names, schema-version cache invalidation, legacy kinds dispatching through
-the table unchanged), the seeded traffic generators (determinism serially,
+names, legacy kinds dispatching through the table unchanged), the result
+store's identity (model fingerprint, plugin source digests, the replay
+trace digest), the seeded traffic generators (determinism serially,
 under ``--jobs`` workers, and through the service dedup path), and the
 trace record/replay fidelity contract.
 """
 
+import hashlib
+import importlib.util
 import json
+import sys
 
 import pytest
 
@@ -20,18 +24,8 @@ from repro.api import (
     traffic_sweep,
     unregister_kind,
 )
-from repro.api.cache import ResultCache
-from repro.api.kinds import (
-    KINDS,
-    available_kinds,
-    cache_suffix,
-    folds_workload_schema,
-    kind_cacheable,
-    kind_spec,
-)
+from repro.api.kinds import available_kinds, kind_cacheable, kind_spec
 from repro.apps import (
-    DIAGNOSTIC_WORKLOADS,
-    MACROBENCHMARKS,
     WorkloadError,
     available_workloads,
     create_workload,
@@ -40,6 +34,11 @@ from repro.apps import (
     workload_names,
 )
 from repro.apps.workload import Workload
+from repro.coherence.protocols import unregister_protocol
+from repro.network.registry import unregister_fabric
+from repro.ni import unregister_device
+from repro.service import store as store_module
+from repro.service.store import ResultStore, plugin_digests
 from repro.trace import TraceError, read_trace, record_trace, trace_digest
 from repro.trace.replay import TraceReplayWorkload
 
@@ -60,7 +59,6 @@ LEGACY_KINDS = ("latency", "bandwidth", "macro", "engine")
 class TestKindRegistry:
     def test_builtin_kinds_registered(self):
         for kind in LEGACY_KINDS + ("traffic", "replay"):
-            assert kind in KINDS
             assert kind in available_kinds()
 
     def test_unknown_kind_is_spec_error(self):
@@ -76,14 +74,14 @@ class TestKindRegistry:
 
         register_kind("custom-kind", measure, validate=lambda spec: None)
         try:
-            assert "custom-kind" in KINDS
+            assert "custom-kind" in available_kinds()
             spec = ExperimentSpec(kind="custom-kind", num_nodes=4).validate()
             result = run_point(spec)
             assert result.metrics["cycles"] == 1.0
             assert calls == ["custom-kind"]
         finally:
             unregister_kind("custom-kind")
-        assert "custom-kind" not in KINDS
+        assert "custom-kind" not in available_kinds()
         with pytest.raises(SpecError):
             ExperimentSpec(kind="custom-kind").validate()
 
@@ -116,12 +114,12 @@ class TestKindRegistry:
         assert not kind_cacheable("engine")
         assert kind_cacheable("latency")
 
-    def test_only_new_kinds_fold_workload_schema(self):
-        for kind in LEGACY_KINDS:
-            assert not folds_workload_schema(kind)
-            assert cache_suffix(ExperimentSpec(kind=kind)) == ""
-        assert folds_workload_schema("traffic")
-        assert folds_workload_schema("replay")
+    def test_only_replay_folds_a_cache_token(self):
+        # A trace is input data the model fingerprint cannot see; every
+        # other built-in kind is keyed by spec hash and fingerprint alone.
+        for kind in LEGACY_KINDS + ("traffic",):
+            assert kind_spec(kind).cache_token is None
+        assert kind_spec("replay").cache_token is not None
 
 
 # ----------------------------------------------------------------------
@@ -135,11 +133,10 @@ class TestWorkloadRegistry:
         assert set(workload_names("fine-grain")) == {"allreduce", "halo", "psrpc", "kv"}
         assert "replay" in workload_names("trace")
 
-    def test_legacy_dict_views_are_live_and_read_only(self):
-        assert set(MACROBENCHMARKS) == {"spsolve", "gauss", "em3d", "moldyn", "appbt"}
-        assert "hang" in DIAGNOSTIC_WORKLOADS
-        with pytest.raises(TypeError):
-            MACROBENCHMARKS["new"] = object  # Mapping views reject writes
+    def test_tag_queries_track_registrations(self):
+        snapshot = available_workloads("macro")
+        snapshot["new"] = object  # a copy: the registry is untouched
+        assert "new" not in workload_names("macro")
 
         @register_workload(tags=("macro",))
         class ExtraMacro(Workload):
@@ -149,10 +146,10 @@ class TestWorkloadRegistry:
                 return [iter(()) for _ in machine.nodes]
 
         try:
-            assert "extra-macro" in MACROBENCHMARKS  # view sees new entries
+            assert workload_names("macro")[-1] == "extra-macro"
         finally:
             unregister_workload("extra-macro")
-        assert "extra-macro" not in MACROBENCHMARKS
+        assert "extra-macro" not in workload_names("macro")
 
     def test_unknown_workload_names_nearest_match(self):
         with pytest.raises(WorkloadError, match="unifrom"):
@@ -173,18 +170,112 @@ class TestWorkloadRegistry:
 
 
 # ----------------------------------------------------------------------
-# Schema-version cache identity
+# Result-store identity: model fingerprint, plugin digests, replay token
 # ----------------------------------------------------------------------
+#: One plugin of every registry, registered from a module outside repro.
+PLUGIN_MODULE = """
+from dataclasses import replace
+
+from repro.api.kinds import register_kind
+from repro.apps.registry import register_workload
+from repro.apps.workload import Workload
+from repro.coherence.protocols import protocol_spec, register_protocol
+from repro.network.fabric import IdealFabric
+from repro.network.registry import register_fabric
+from repro.ni import NI2w, register_device
+
+register_kind("plugkind", lambda spec: {"x": 1.0})
+
+
+@register_workload("plugpattern", tags=("traffic",))
+class PlugPattern(Workload):
+    def programs(self, machine):
+        return [iter(()) for _ in machine.nodes]
+
+
+@register_device("PlugNI")
+class PlugNI(NI2w):
+    pass
+
+
+@register_fabric("plugfab")
+class PlugFabric(IdealFabric):
+    pass
+
+
+register_protocol(replace(protocol_spec("msi"), name="plugproto"))
+"""
+
+#: A spec naming each plugin (and nothing else outside repro).
+PLUGIN_SPECS = {
+    "kind": dict(kind="plugkind"),
+    "workload": dict(TRAFFIC, workload="plugpattern"),
+    "device": dict(kind="latency", device="PlugNI"),
+    "fabric": dict(kind="latency", params={"fabric": "plugfab"}),
+    "protocol": dict(kind="latency", params={"protocol": "plugproto"}),
+}
+
+LATENCY = dict(kind="latency", message_bytes=8, iterations=3, warmup=1)
+
+
+@pytest.fixture()
+def plugin_module(tmp_path):
+    """Path of a loaded plugin module file; unregistered again afterwards."""
+    path = tmp_path / "identity_plugins.py"
+    path.write_text(PLUGIN_MODULE)
+    loader_spec = importlib.util.spec_from_file_location("identity_plugins", str(path))
+    module = importlib.util.module_from_spec(loader_spec)
+    sys.modules["identity_plugins"] = module
+    try:
+        loader_spec.loader.exec_module(module)
+        yield path
+    finally:
+        for undo, name in (
+            (unregister_kind, "plugkind"),
+            (unregister_workload, "plugpattern"),
+            (unregister_device, "PlugNI"),
+            (unregister_fabric, "plugfab"),
+            (unregister_protocol, "plugproto"),
+        ):
+            try:
+                undo(name)
+            except ValueError:
+                pass  # the module failed before registering this plugin
+        sys.modules.pop("identity_plugins", None)
+
+
 class TestSchemaVersionCache:
-    def test_schema_bump_invalidates_traffic_keys_only(self, tmp_path, monkeypatch):
-        cache = ResultCache(str(tmp_path))
-        traffic = ExperimentSpec(**TRAFFIC).validate()
-        legacy = ExperimentSpec(kind="latency", message_bytes=8, iterations=3, warmup=1)
-        traffic_key = cache.cache_key(traffic)
-        legacy_key = cache.cache_key(legacy)
-        monkeypatch.setattr("repro.apps.registry.WORKLOAD_SCHEMA_VERSION", 999)
-        assert cache.cache_key(traffic) != traffic_key
-        assert cache.cache_key(legacy) == legacy_key
+    def test_schema_bump_invalidates_traffic_keys_only(self, tmp_path, plugin_module):
+        """Editing a traffic pattern's module changes the keys of specs that
+        name it; a latency spec's key does not move."""
+        store = ResultStore(str(tmp_path / "store"))
+        traffic = ExperimentSpec(**PLUGIN_SPECS["workload"])
+        legacy = ExperimentSpec(**LATENCY)
+        traffic_key = store.cache_key(traffic)
+        legacy_key = store.cache_key(legacy)
+        with open(plugin_module, "a") as handle:
+            handle.write("# retuned pattern\n")
+        assert store.cache_key(traffic) != traffic_key
+        assert store.cache_key(legacy) == legacy_key
+
+    @pytest.mark.parametrize("registry", sorted(PLUGIN_SPECS))
+    def test_editing_a_plugin_module_changes_its_keys(self, tmp_path, plugin_module, registry):
+        store = ResultStore(str(tmp_path / "store"))
+        spec = ExperimentSpec(**PLUGIN_SPECS[registry])
+        digest = hashlib.sha256(plugin_module.read_bytes()).hexdigest()
+        assert plugin_digests(spec) == [digest]
+        key = store.cache_key(spec)
+        assert store.cache_key(spec) == key  # stable while the file is
+        with open(plugin_module, "a") as handle:
+            handle.write("# edited\n")
+        assert store.cache_key(spec) != key
+
+    def test_builtin_keys_are_spec_hash_and_fingerprint(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        for spec in (ExperimentSpec(**LATENCY), ExperimentSpec(**TRAFFIC)):
+            assert plugin_digests(spec) == []
+            expected = f"{spec.spec_hash()}:{store_module.model_fingerprint()}"
+            assert store.cache_key(spec) == hashlib.sha256(expected.encode()).hexdigest()
 
     def test_stale_schema_stamp_entry_is_a_miss(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
@@ -192,9 +283,9 @@ class TestSchemaVersionCache:
         runner = SweepRunner(cache_dir=cache_dir)
         first = runner.run_one(spec)
         assert SweepRunner(cache_dir=cache_dir).run_one(spec).cached
-        monkeypatch.setattr("repro.apps.registry.WORKLOAD_SCHEMA_VERSION", 999)
+        monkeypatch.setattr(store_module, "model_fingerprint", lambda: "e" * 64)
         rerun = SweepRunner(cache_dir=cache_dir).run_one(spec)
-        assert not rerun.cached  # key widened: old entry unreachable
+        assert not rerun.cached  # new fingerprint: old entry unreachable
         assert rerun.metrics == first.metrics
 
     def test_replay_key_folds_trace_digest(self, tmp_path):
@@ -208,12 +299,12 @@ class TestSchemaVersionCache:
                            workload="em3d", num_nodes=4, scale=0.25),
             trace_b,
         )
-        cache = ResultCache(str(tmp_path / "cache"))
-        key_a = cache.cache_key(_replay_spec(trace_a))
-        key_b = cache.cache_key(_replay_spec(trace_b))
+        store = ResultStore(str(tmp_path / "cache"))
+        key_a = store.cache_key(_replay_spec(trace_a))
+        key_b = store.cache_key(_replay_spec(trace_b))
         assert key_a != key_b
-        # Same digest at a different path -> same identity suffix.
-        assert trace_digest(trace_a) in cache_suffix(_replay_spec(trace_a))
+        token = kind_spec("replay").cache_token(_replay_spec(trace_a))
+        assert trace_digest(trace_a) in token
 
 
 def _replay_spec(trace, **overrides):
